@@ -8,23 +8,13 @@ Usage::
 Diffs every *shared* throughput metric — sections or fields present in
 only one payload are reported as informational and never fail the
 comparison, so a newer payload may add sections (e.g. ``compile_bench``)
-without breaking comparisons against older baselines:
-
-* ``summary``     — per-solver solve throughput (``runs / total_wall_time_s``);
-* ``cache_bench`` — cold and warm solve rates plus the warm speedup;
-* ``service_bench`` — ``single_rps`` / ``batched_rps`` / ``warm_rps``,
-  plus the nested ``supervised`` rates (``supervised_rps`` / ``kill_rps``)
-  when the payload carries the supervised worker-pool phases;
-* ``compile_bench`` — cold/shared compile-amortized solve rates and speedup;
-* ``backend_bench`` — python-vs-numpy backend speedups and per-backend
-  solve rates (``docs/BACKENDS.md``);
-* ``scale_bench`` — per-size monolithic and partitioned solve rates plus
-  the partition speedup at each ``n`` (``docs/SCALE.md``);
-* ``online_bench`` — delta-apply and from-scratch-recompile event rates
-  plus the delta speedup (``docs/ONLINE.md``);
-* ``scenario_bench`` — constrained solve rates per backend and the
-  inverse mask-compose overhead ratio, so a compose slowdown reads as a
-  throughput regression (``docs/SCENARIOS.md``).
+without breaking comparisons against older baselines.  The metrics are
+read from the section declarations in ``repro.obs.bench`` (each
+``BenchSection``'s ``metrics``): per-solver solve rates from
+``summary``, and each optional section's rates, speedups and inverted
+wall times — e.g. ``scenario_bench.compose_headroom``, the inverse
+mask-compose overhead ratio, so a compose slowdown reads as a
+throughput regression.  Run it with ``PYTHONPATH=src``.
 
 Exit status: ``0`` when no shared metric regressed by more than
 ``--threshold`` (default 20%), ``1`` when at least one did, ``2`` on
@@ -48,95 +38,39 @@ import json
 import sys
 from typing import Dict, Iterator, Tuple
 
-
-def _summary_throughputs(payload: dict) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for solver, stats in payload.get("summary", {}).items():
-        runs = stats.get("runs", 0)
-        secs = stats.get("total_wall_time_s", 0.0)
-        if runs and secs > 0:
-            out[f"summary.{solver}.solves_per_s"] = runs / secs
-    return out
+from repro.obs.bench import PAYLOAD, BenchSection
 
 
-def _section_throughputs(payload: dict) -> Dict[str, float]:
-    """Flatten every higher-is-better rate the optional sections carry."""
-    out: Dict[str, float] = {}
-    cb = payload.get("cache_bench")
-    if cb:
-        for field in ("cold_wall_time_s", "warm_wall_time_s"):
-            if cb.get(field, 0.0) > 0:
-                name = field.replace("_wall_time_s", "_solves_per_s")
-                out[f"cache_bench.{name}"] = 1.0 / cb[field]
-        if "speedup" in cb:
-            out["cache_bench.speedup"] = cb["speedup"]
-    sb = payload.get("service_bench")
-    if sb:
-        for field in ("single_rps", "batched_rps", "warm_rps"):
-            if field in sb:
-                out[f"service_bench.{field}"] = sb[field]
-        sup = sb.get("supervised")
-        if sup:
-            for field in ("supervised_rps", "kill_rps"):
-                if field in sup:
-                    out[f"service_bench.supervised.{field}"] = sup[field]
-    pb = payload.get("compile_bench")
-    if pb:
-        for field in ("cold_solves_per_s", "shared_solves_per_s", "speedup"):
-            if field in pb:
-                out[f"compile_bench.{field}"] = pb[field]
-    bb = payload.get("backend_bench")
-    if bb:
-        for field in (
-            "knapsack_speedup", "kernel_speedup", "angle_speedup",
-            "sector_speedup",
-        ):
-            if field in bb:
-                out[f"backend_bench.{field}"] = bb[field]
-        for field in (
-            "knapsack_numpy_s", "kernel_numpy_s", "angle_numpy_s",
-            "sector_numpy_s",
-        ):
-            if bb.get(field, 0.0) > 0:
-                name = field.replace("_s", "_solves_per_s")
-                out[f"backend_bench.{name}"] = 1.0 / bb[field]
-    sc = payload.get("scale_bench")
-    if sc:
-        for row in sc.get("rows", ()):
-            n = row.get("n")
-            if not n:
-                continue
-            for field in ("mono_s", "part_s"):
-                if row.get(field, 0.0) > 0:
-                    name = field.replace("_s", "_solves_per_s")
-                    out[f"scale_bench.n{n}.{name}"] = 1.0 / row[field]
-            if "speedup" in row:
-                out[f"scale_bench.n{n}.speedup"] = row["speedup"]
-    ob = payload.get("online_bench")
-    if ob:
-        for field in (
-            "delta_events_per_s", "recompile_events_per_s", "speedup",
-        ):
-            if field in ob:
-                out[f"online_bench.{field}"] = ob[field]
-    sn = payload.get("scenario_bench")
-    if sn:
-        # Higher-is-better orientation: invert the overhead ratio so a
-        # slower mask composition shows up as a metric drop.
-        if sn.get("overhead_ratio", 0.0) > 0:
-            out["scenario_bench.compose_headroom"] = 1.0 / sn["overhead_ratio"]
-        for row in sn.get("rows", ()):
-            solver = row.get("solver")
-            for field in ("python_s", "numpy_s"):
-                if solver and row.get(field, 0.0) > 0:
-                    name = field.replace("_s", "_solves_per_s")
-                    out[f"scenario_bench.{solver}.{name}"] = 1.0 / row[field]
-    return out
+def _flatten(section: BenchSection, obj: dict, prefix: str,
+             out: Dict[str, float]) -> None:
+    """Collect ``section``'s declared metrics from ``obj`` as ``prefix+name``."""
+    for spec in section.metrics:
+        name, _, ratio = spec.partition("=")
+        if not ratio:
+            if name in obj:
+                out[prefix + name] = obj[name]
+            continue
+        num, _, den = ratio.partition("/")
+        top = 1.0 if num == "1" else obj.get(num, 0)
+        if top and obj.get(den, 0.0) > 0:
+            out[prefix + name] = top / obj[den]
+    for part in section.parts:
+        value = obj.get(part.name)
+        if not value:
+            continue
+        if not part.many:
+            _flatten(part, value, f"{prefix}{part.name}.", out)
+            continue
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, element in items:
+            label = part.label.format(key=key, **element)
+            _flatten(part, element, f"{prefix}{label}.", out)
 
 
 def _throughputs(payload: dict) -> Dict[str, float]:
-    out = _summary_throughputs(payload)
-    out.update(_section_throughputs(payload))
+    """Flatten every higher-is-better metric the payload carries."""
+    out: Dict[str, float] = {}
+    _flatten(PAYLOAD, payload, "", out)
     return out
 
 

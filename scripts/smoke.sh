@@ -82,7 +82,7 @@ from repro.obs.bench import run_bench, write_bench
 
 payload = run_bench(
     families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="scale-smoke", scale_bench=True, scale_sizes=(2_000, 5_000),
+    tag="scale-smoke", sections=("scale_bench",), scale_sizes=(2_000, 5_000),
 )
 write_bench(payload, sys.argv[1])
 PY
@@ -101,7 +101,7 @@ from repro.obs.bench import run_bench, write_bench
 
 payload = run_bench(
     families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="online-smoke", online_bench=True, online_n=1_500,
+    tag="online-smoke", sections=("online_bench",), online_n=1_500,
     online_events=24,
 )
 write_bench(payload, sys.argv[1])
@@ -122,7 +122,7 @@ from repro.obs.bench import run_bench, write_bench
 
 payload = run_bench(
     families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="scenario-smoke", scenario_bench=True, scenario_n=2_000,
+    tag="scenario-smoke", sections=("scenario_bench",), scenario_n=2_000,
 )
 write_bench(payload, sys.argv[1])
 PY

@@ -61,6 +61,7 @@ from repro.model.serialization import (
     save_instance,
     solution_to_dict,
 )
+from repro.obs.bench import BENCH_SECTIONS, load_bench, run_bench, write_bench
 from repro.packing.bounds import combined_upper_bound
 
 #: CLI exit codes (documented in the module docstring / docs/RESILIENCE.md).
@@ -315,8 +316,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """``bench``: run the bench suite / validate an existing payload."""
-    from repro.obs.bench import load_bench, run_bench, validate_bench, write_bench
-
     if args.check:
         try:
             payload = load_bench(args.check)
@@ -341,13 +340,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             eps=args.eps,
             tag=args.tag,
             timeout_s=args.timeout,
-            cache_bench=args.cache_bench,
-            service_bench=args.service_bench,
-            compile_bench=args.compile_bench,
-            backend_bench=args.backend_bench,
-            scale_bench=args.scale_bench,
-            online_bench=args.online_bench,
-            scenario_bench=args.scenario_bench,
+            sections=[s.name for s in BENCH_SECTIONS if getattr(args, s.name)],
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -625,34 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-solve budget; also enables the budget-bounded "
                         "anytime exact solver as a bench entry")
-    b.add_argument("--cache-bench", action="store_true",
-                   help="add the warm-vs-cold engine-cache benchmark section")
-    b.add_argument("--service-bench", action="store_true",
-                   help="add the serving-throughput benchmark section "
-                        "(single vs batched vs warm-cache req/s)")
-    b.add_argument("--compile-bench", action="store_true",
-                   help="add the compiled-instance benchmark section "
-                        "(per-call compilation vs one shared compiled view)")
-    b.add_argument("--scale-bench", action="store_true",
-                   help="add the scale section: monolithic-vs-partitioned "
-                        "throughput curves on metro instances up to n=10^6, "
-                        "merge-bound soundness asserted in-harness "
-                        "(docs/SCALE.md)")
-    b.add_argument("--online-bench", action="store_true",
-                   help="add the online-delta section: event-apply vs "
-                        "from-scratch recompile throughput on a large "
-                        "instance, value identity and per-sector cache "
-                        "invalidation asserted in-harness (docs/ONLINE.md)")
-    b.add_argument("--scenario-bench", action="store_true",
-                   help="add the constraint-pipeline section: scalar-vs-"
-                        "vectorized mask composition identity, constrained "
-                        "solve feasibility across backends, and the <10% "
-                        "mask-compose overhead gate asserted in-harness "
-                        "(docs/SCENARIOS.md)")
-    b.add_argument("--backend-bench", action="store_true",
-                   help="add the backend-comparison section: large-n sweep "
-                        "and sector workloads on the python vs numpy "
-                        "backends, asserting value identity")
+    for section in BENCH_SECTIONS:
+        b.add_argument(f"--{section.name.replace('_', '-')}",
+                       action="store_true",
+                       # argparse %-formats help text ("<10%" in scenario_bench)
+                       help=section.help.replace("%", "%%"))
     b.add_argument("--tag", default="pr1", help="tag baked into the payload/filename")
     b.add_argument("--output", help="output path (default BENCH_<tag>.json)")
     b.add_argument("--check", metavar="PATH",

@@ -26,7 +26,8 @@ import json
 import platform
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,16 +127,10 @@ def run_bench(
     eps: float = 0.5,
     tag: str = "pr1",
     timeout_s: Optional[float] = None,
-    cache_bench: bool = False,
-    service_bench: bool = False,
-    compile_bench: bool = False,
-    backend_bench: bool = False,
-    scale_bench: bool = False,
+    sections: Sequence[str] = (),
     scale_sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
-    online_bench: bool = False,
     online_n: int = 30_000,
     online_events: int = 90,
-    scenario_bench: bool = False,
     scenario_n: int = 60_000,
 ) -> dict:
     """Run the suite and return the schema-versioned bench payload.
@@ -155,65 +150,28 @@ def run_bench(
     ``timeout_s`` bounds the ``exact`` entry — the anytime exact search,
     which is only benchable *because* it is bounded (default 1s).
 
-    ``cache_bench=True`` adds the optional additive ``cache_bench``
-    section: one warm-vs-cold repeated solve through the result cache,
-    with the hit/miss counters it produced.  Schema stays v1 — the
-    section is validated only when present.
-
-    ``service_bench=True`` adds the additive ``service_bench`` section
-    (``docs/SERVICE.md``): serving throughput through an in-process
-    :mod:`repro.service` instance — sequential single requests vs a
-    pipelined burst (micro-batched routing) vs a warm-cache pass.
-
-    ``compile_bench=True`` adds the additive ``compile_bench`` section: a
-    repeated multi-solver workload on one large instance, cold (compile
-    cache cleared before every solve) vs shared (one
-    ``CompiledInstance`` reused across all solves), with the value
-    equality between the two passes asserted.
-
-    ``backend_bench=True`` adds the additive ``backend_bench`` section
-    (``docs/BACKENDS.md``): one large-``n`` angle sweep and one
-    multi-station sector workload, each solved through the engine on the
-    ``python`` and ``numpy`` backends, with value identity between the
-    two asserted in-harness (a mismatch raises instead of recording).
-
-    ``scale_bench=True`` adds the additive ``scale_bench`` section
-    (``docs/SCALE.md``): monolithic-vs-partitioned throughput curves on
-    ``metro`` instances at each ``n`` in ``scale_sizes``, with two
-    invariants asserted in-harness (a violation raises instead of
-    recording): every row's monolithic value is within the certified
-    merge bound of the partitioned value, and the partitioned strategy
-    is at least 3x faster than monolithic at ``n >= 10**6``.
-
-    ``online_bench=True`` adds the additive ``online_bench`` section
-    (``docs/ONLINE.md``): one seeded event stream of ``online_events``
-    add/remove/update events over a uniform angle instance of
-    ``online_n`` customers, applied two ways — through a
-    :class:`~repro.online.delta.DeltaCompiledInstance` (patching the
-    compiled views in place) and by rebuilding + recompiling the
-    instance from scratch after every event.  Value identity between
-    the two paths is asserted in-harness after *every* event, per-sector
-    cache invalidation is exercised against registered windows, and the
-    delta path must be at least 5x faster than recompiling when
-    ``online_n >= 10**4`` (a violation raises instead of recording).
-
-    ``scenario_bench=True`` adds the additive ``scenario_bench`` section
-    (``docs/SCENARIOS.md``): the constraint-pipeline gate on the
-    ``scenario`` generator family (metro + blockage segments +
-    ``max_assignments``).  Three invariants are asserted in-harness (a
-    violation raises instead of recording): the scalar and vectorized
-    constraint compositions are bit-identical, constrained engine solves
-    verify feasible against every mask with exact value identity across
-    backends, and mask composition costs < 10% of the unconstrained
-    compile at ``scenario_n`` (the overhead gate arms at ``scenario_n >=
-    5 * 10**4`` — below that, fixed per-call overheads dominate both
-    timers and the ratio is noise).
+    ``sections`` names the additive payload sections to append, from
+    :data:`BENCH_SECTIONS` (``"cache_bench"``, ``"service_bench"``,
+    ``"compile_bench"``, ``"backend_bench"``, ``"scale_bench"``,
+    ``"online_bench"``, ``"scenario_bench"``).  Schema stays v1: each is
+    validated only when present, and its runner's docstring describes
+    what it measures and which invariants it asserts in-harness (a
+    violation raises instead of recording).  ``scale_sizes`` sets the
+    ``scale_bench`` sizes; ``online_n`` / ``online_events`` the
+    ``online_bench`` stream; ``scenario_n`` the ``scenario_bench``
+    overhead-gate size (the gate arms at ``scenario_n >= 5 * 10**4``).
     """
     from repro.engine import SolveRequest, clear_caches
     from repro.engine import solve as engine_solve
 
     if not families:
         raise ValueError("no families given")
+    unknown_sections = sorted(set(sections) - {s.name for s in BENCH_SECTIONS})
+    if unknown_sections:
+        raise ValueError(
+            f"unknown bench section(s) {unknown_sections}; available: "
+            f"{[s.name for s in BENCH_SECTIONS]}"
+        )
     name_table = _bench_name_table()
     if solvers is not None:
         unknown = sorted(set(solvers) - set(name_table))
@@ -330,28 +288,23 @@ def run_bench(
         "runs": runs,
         "summary": summary,
     }
-    if cache_bench:
-        if last_angle_instance is None:
-            raise ValueError("cache_bench needs at least one angle family")
-        payload["cache_bench"] = _run_cache_bench(last_angle_instance, eps=eps)
-    if service_bench:
-        payload["service_bench"] = _run_service_bench(eps=eps)
-    if compile_bench:
-        payload["compile_bench"] = _run_compile_bench(eps=eps)
-    if backend_bench:
-        payload["backend_bench"] = _run_backend_bench(eps=eps)
-    if scale_bench:
-        payload["scale_bench"] = _run_scale_bench(eps=eps, sizes=scale_sizes)
-    if online_bench:
-        payload["online_bench"] = _run_online_bench(
-            n=online_n, events=online_events
-        )
-    if scenario_bench:
-        payload["scenario_bench"] = _run_scenario_bench(eps=eps, n=scenario_n)
+    context = {
+        "eps": eps,
+        "angle_instance": last_angle_instance,
+        "scale_sizes": scale_sizes,
+        "online_n": online_n,
+        "online_events": online_events,
+        "scenario_n": scenario_n,
+    }
+    for section in BENCH_SECTIONS:
+        if section.name in sections:
+            payload[section.name] = section.runner(context)
     return payload
 
 
-def _run_cache_bench(instance, eps: float, solver: str = "greedy+ls") -> dict:
+def _run_cache_bench(
+    instance: Optional[AngleInstance], eps: float, solver: str = "greedy+ls"
+) -> dict:
     """Warm-vs-cold repeated solve through the engine result cache.
 
     Cold: caches cleared, one full solve (a cache miss that fills the
@@ -363,6 +316,8 @@ def _run_cache_bench(instance, eps: float, solver: str = "greedy+ls") -> dict:
     from repro.engine import SolveRequest, clear_caches
     from repro.engine import solve as engine_solve
 
+    if instance is None:
+        raise ValueError("cache_bench needs at least one angle family")
     registry = get_registry()
     clear_caches()
     registry.reset()
@@ -1206,25 +1161,45 @@ def _run_supervised_bench(
       0, and the supervisor's restart/redispatch/degraded counters are
       recorded alongside the throughput.  The gap between the two rates
       is the measured price of crash recovery.
+
+    Pool counters are read as ``stats`` deltas around each burst (the
+    registry is process-wide, so totals would mix phases).  The clean
+    burst must have measured the pool: it raises ``RuntimeError`` when
+    any of its requests degraded to the in-process fallback, or when no
+    slice was dispatched to a worker at all.
     """
     from repro.resilience.chaos import ChaosPolicy
     from repro.service import ServiceClient, start_in_thread
 
     requests = len(instances)
-    handle = start_in_thread(
-        port=0, max_batch=32, queue_bound=2 * requests, workers=workers
-    )
-    try:
+
+    def burst(handle, where: str) -> Tuple[float, Dict[str, int]]:
         with ServiceClient(port=handle.port, timeout_s=300.0) as client:
+            before = _pool_counters(client)
             t0 = time.perf_counter()
             responses = client.solve_batch(
                 instances, algorithm=algorithm, eps=eps, use_cache=False
             )
-            supervised_s = time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
             for response in responses:
-                _require_ok(response, "service_bench supervised")
+                _require_ok(response, where)
+            after = _pool_counters(client)
+        return elapsed, {name: after[name] - before[name] for name in after}
+
+    handle = start_in_thread(
+        port=0, max_batch=32, queue_bound=2 * requests, workers=workers
+    )
+    try:
+        supervised_s, clean = burst(handle, "service_bench supervised")
     finally:
         handle.stop()
+    if clean["degraded"] > 0 or clean["dispatches"] == 0:
+        raise RuntimeError(
+            "service bench invariant broken: the clean supervised burst "
+            f"measured the in-process fallback, not the worker pool "
+            f"(degraded={clean['degraded']}, "
+            f"dispatches={clean['dispatches']})"
+        )
 
     chaos = ChaosPolicy(seed=11, kill_rate=0.35)
     handle = start_in_thread(
@@ -1237,22 +1212,7 @@ def _run_supervised_bench(
         },
     )
     try:
-        with ServiceClient(port=handle.port, timeout_s=300.0) as client:
-            t0 = time.perf_counter()
-            responses = client.solve_batch(
-                instances, algorithm=algorithm, eps=eps, use_cache=False
-            )
-            kill_s = time.perf_counter() - t0
-            for response in responses:
-                _require_ok(response, "service_bench kill-under-load")
-            metrics = client.stats()["metrics"]
-
-            def _count(name: str) -> int:
-                return int(metrics.get(name, {}).get("value", 0))
-
-            restarts = _count("service.supervisor.restarts")
-            redispatches = _count("service.worker.redispatches")
-            degraded = _count("service.worker.degraded")
+        kill_s, killed = burst(handle, "service_bench kill-under-load")
     finally:
         handle.stop()
     return {
@@ -1263,9 +1223,27 @@ def _run_supervised_bench(
         ),
         "kill_rate": float(chaos.kill_rate),
         "kill_rps": float(requests / kill_s) if kill_s > 0 else 0.0,
-        "restarts": restarts,
-        "redispatches": redispatches,
-        "degraded": degraded,
+        "restarts": killed["restarts"],
+        "redispatches": killed["redispatches"],
+        "degraded": killed["degraded"],
+    }
+
+
+#: Supervised-pool counters the service bench reads per phase.
+_POOL_COUNTERS = {
+    "dispatches": "service.worker.dispatches",
+    "degraded": "service.worker.degraded",
+    "redispatches": "service.worker.redispatches",
+    "restarts": "service.supervisor.restarts",
+}
+
+
+def _pool_counters(client) -> Dict[str, int]:
+    """Current values of :data:`_POOL_COUNTERS` from the ``stats`` op."""
+    metrics = client.stats()["metrics"]
+    return {
+        short: int(metrics.get(name, {}).get("value", 0))
+        for short, name in _POOL_COUNTERS.items()
     }
 
 
@@ -1276,185 +1254,378 @@ def _require_ok(response: dict, where: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Schema validation (the contract scripts/smoke.sh enforces)
+# Section declarations: the one table validation, comparison and the CLI
+# flags derive from (the schema scripts/smoke.sh enforces)
 # ----------------------------------------------------------------------
-_RUN_FIELDS: Dict[str, type] = {
-    "family": str,
-    "kind": str,
-    "n": int,
-    "k": int,
-    "seed": int,
-    "solver": str,
-    "wall_time_s": float,
-    "value": float,
-    "upper_bound": float,
-    "ratio_vs_bound": float,
-    "oracle_calls": int,
-    "candidate_windows": int,
-    "phases": dict,
-}
+#: A cross-field invariant: ``(message, predicate over the object)``.
+Invariant = Tuple[str, Callable[[dict], bool]]
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``cache_bench=True``; validated only when present.
-_CACHE_BENCH_FIELDS: Dict[str, type] = {
-    "solver": str,
-    "n": int,
-    "k": int,
-    "cold_wall_time_s": float,
-    "warm_wall_time_s": float,
-    "speedup": float,
-    "value": float,
-    "cache_hits": int,
-    "cache_misses": int,
-    "compile_hits": int,
-    "compile_misses": int,
-}
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``compile_bench=True``; validated only when present.
-_COMPILE_BENCH_FIELDS: Dict[str, type] = {
-    "n": int,
-    "k": int,
-    "n_distinct": int,
-    "repeats": int,
-    "solves": int,
-    "cold_wall_time_s": float,
-    "shared_wall_time_s": float,
-    "speedup": float,
-    "cold_solves_per_s": float,
-    "shared_solves_per_s": float,
-    "compile_hits": int,
-    "compile_misses": int,
-}
+@dataclass(frozen=True)
+class BenchSection:
+    """One payload section, declared once.
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``service_bench=True``; validated only when present.
-_SERVICE_BENCH_FIELDS: Dict[str, type] = {
-    "algorithm": str,
-    "n": int,
-    "k": int,
-    "requests": int,
-    "single_rps": float,
-    "batched_rps": float,
-    "warm_rps": float,
-    "max_batch": int,
-    "shed": int,
-}
+    :func:`validate_bench` checks every object against ``fields`` (type,
+    presence unless listed in ``optional``, and every numeric field
+    ``>= 0``), then each nested part, then the ``invariants``.
+    ``scripts/bench_compare.py`` flattens ``metrics`` — all oriented
+    higher-is-better: ``"name"`` reads the field as is, and
+    ``"name=num/den"`` compares the ratio instead (``1/x`` for the
+    ``*_s`` wall times), skipped unless both sides are positive.
 
-#: Nested optional sub-object of ``service_bench`` (additive, so payloads
-#: from before the supervised serving mode still validate): present only
-#: when the service bench ran the supervised worker-pool phases.
-_SERVICE_SUPERVISED_FIELDS: Dict[str, type] = {
-    "workers": int,
-    "requests": int,
-    "supervised_rps": float,
-    "kill_rate": float,
-    "kill_rps": float,
-    "restarts": int,
-    "redispatches": int,
-    "degraded": int,
-}
+    ``parts`` are nested sections keyed by their ``name``; a part with
+    ``many="list"`` (or ``"map"``) is a non-empty collection of such
+    objects, and ``label`` (formatted with the element's fields, or its
+    map ``key``) names each element's metrics.  A top-level section with
+    a ``runner`` is optional in the payload and gets the CLI flag
+    ``--<name>`` (underscores as dashes) with ``help`` as its text; the
+    runner maps the bench context to the section object.
+    """
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``backend_bench=True``; validated only when present.
-_BACKEND_BENCH_FIELDS: Dict[str, type] = {
-    "algorithm": str,
-    "n": int,
-    "k": int,
-    "knapsack_n": int,
-    "knapsack_python_s": float,
-    "knapsack_numpy_s": float,
-    "knapsack_speedup": float,
-    "knapsack_value": float,
-    "kernel_python_s": float,
-    "kernel_numpy_s": float,
-    "kernel_speedup": float,
-    "angle_python_s": float,
-    "angle_numpy_s": float,
-    "angle_speedup": float,
-    "angle_value": float,
-    "sector_algorithm": str,
-    "sector_n": int,
-    "sector_python_s": float,
-    "sector_numpy_s": float,
-    "sector_speedup": float,
-    "sector_value": float,
-}
+    name: str
+    fields: Dict[str, type]
+    optional: frozenset = frozenset()
+    invariants: Tuple[Invariant, ...] = ()
+    metrics: Tuple[str, ...] = ()
+    parts: Tuple["BenchSection", ...] = ()
+    many: str = ""
+    label: str = ""
+    runner: Optional[Callable[[dict], dict]] = None
+    help: str = ""
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``scale_bench=True``; validated only when present.
-_SCALE_BENCH_FIELDS: Dict[str, type] = {
-    "algorithm": str,
-    "family": str,
-    "towns": int,
-    "rows": list,
-}
 
-#: Per-size row of the ``scale_bench`` section's throughput-vs-n curve.
-_SCALE_BENCH_ROW_FIELDS: Dict[str, type] = {
-    "n": int,
-    "mono_s": float,
-    "part_s": float,
-    "speedup": float,
-    "mono_value": float,
-    "part_value": float,
-    "merge_bound": float,
-    "partition_upper_bound": float,
-    "parts": int,
-    "unreachable": int,
-}
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``online_bench=True``; validated only when present.
-_ONLINE_BENCH_FIELDS: Dict[str, type] = {
-    "n": int,
-    "events": int,
-    "adds": int,
-    "removes": int,
-    "updates": int,
-    "delta_s": float,
-    "recompile_s": float,
-    "delta_events_per_s": float,
-    "recompile_events_per_s": float,
-    "speedup": float,
-    "identity_events": int,
-    "sectors": int,
-    "warm_hits": int,
-    "invalidated": int,
-}
 
-#: Optional additive section (schema stays v1): present only when the
-#: bench ran with ``scenario_bench=True``; validated only when present.
-_SCENARIO_BENCH_FIELDS: Dict[str, type] = {
-    "n": int,
-    "towns": int,
-    "stations": int,
-    "segments": int,
-    "identity_n": int,
-    "identity_stations": int,
-    "masked_pairs": int,
-    "total_pairs": int,
-    "compile_s": float,
-    "constraints_s": float,
-    "overhead_ratio": float,
-    "rows": list,
-}
+RUNS = BenchSection(
+    name="runs",
+    many="list",
+    fields={
+        "family": str,
+        "kind": str,
+        "n": int,
+        "k": int,
+        "seed": int,
+        "solver": str,
+        "wall_time_s": float,
+        "value": float,
+        "upper_bound": float,
+        "ratio_vs_bound": float,
+        "oracle_calls": int,
+        "candidate_windows": int,
+        "phases": dict,
+    },
+    invariants=(
+        ("kind must be 'angle' or 'sector'",
+         lambda r: r["kind"] in ("angle", "sector")),
+        ("value exceeds its proven upper bound",
+         lambda r: r["value"] <= r["upper_bound"] * (1.0 + 1e-6) + 1e-9),
+        ("ratio_vs_bound outside [0, 1]",
+         lambda r: r["ratio_vs_bound"] <= 1.0 + 1e-6),
+        ("phases must map to non-negative seconds",
+         lambda r: all(isinstance(phase, str) and _is_number(seconds)
+                       and seconds >= 0.0
+                       for phase, seconds in r["phases"].items())),
+    ),
+)
 
-#: Per-solver row of the ``scenario_bench`` section's constrained solves.
-_SCENARIO_BENCH_ROW_FIELDS: Dict[str, type] = {
-    "solver": str,
-    "python_s": float,
-    "numpy_s": float,
-    "value": float,
-}
+SUMMARY = BenchSection(
+    name="summary",
+    many="map",
+    label="summary.{key}",
+    fields={
+        "runs": int,
+        "total_wall_time_s": float,
+        "mean_ratio_vs_bound": float,
+        "min_ratio_vs_bound": float,
+        "peak_oracle_calls": int,
+    },
+    invariants=(("runs must be positive", lambda s: s["runs"] > 0),),
+    metrics=("solves_per_s=runs/total_wall_time_s",),
+)
 
-_SUMMARY_FIELDS: Dict[str, type] = {
-    "runs": int,
-    "total_wall_time_s": float,
-    "mean_ratio_vs_bound": float,
-    "min_ratio_vs_bound": float,
-    "peak_oracle_calls": int,
-}
+_SUPERVISED = BenchSection(
+    name="supervised",
+    fields={
+        "workers": int,
+        "requests": int,
+        "supervised_rps": float,
+        "kill_rate": float,
+        "kill_rps": float,
+        "restarts": int,
+        "redispatches": int,
+        "degraded": int,
+    },
+    invariants=(
+        ("workers must be >= 1", lambda s: s["workers"] >= 1),
+        ("kill_rate out of [0, 1]", lambda s: s["kill_rate"] <= 1.0),
+    ),
+    metrics=("supervised_rps", "kill_rps"),
+)
+
+_SCALE_ROWS = BenchSection(
+    name="rows",
+    many="list",
+    label="n{n}",
+    fields={
+        "n": int,
+        "mono_s": float,
+        "part_s": float,
+        "speedup": float,
+        "mono_value": float,
+        "part_value": float,
+        "merge_bound": float,
+        "partition_upper_bound": float,
+        "parts": int,
+        "unreachable": int,
+    },
+    invariants=(
+        ("n must be positive", lambda r: r["n"] > 0),
+        ("parts must be >= 1", lambda r: r["parts"] >= 1),
+        ("monolithic value exceeds partitioned value plus the certified "
+         "merge bound",
+         lambda r: r["mono_value"] <= r["part_value"] + r["merge_bound"] + 1e-6),
+    ),
+    metrics=(
+        "mono_solves_per_s=1/mono_s",
+        "part_solves_per_s=1/part_s",
+        "speedup",
+    ),
+)
+
+_SCENARIO_ROWS = BenchSection(
+    name="rows",
+    many="list",
+    label="{solver}",
+    fields={
+        "solver": str,
+        "python_s": float,
+        "numpy_s": float,
+        "value": float,
+    },
+    metrics=(
+        "python_solves_per_s=1/python_s",
+        "numpy_solves_per_s=1/numpy_s",
+    ),
+)
+
+#: The optional sections ``run_bench(sections=...)`` can append, in
+#: payload order; each is validated only when present (schema stays v1).
+BENCH_SECTIONS: Tuple[BenchSection, ...] = (
+    BenchSection(
+        name="cache_bench",
+        runner=lambda c: _run_cache_bench(c["angle_instance"], eps=c["eps"]),
+        help="add the warm-vs-cold engine-cache benchmark section",
+        fields={
+            "solver": str,
+            "n": int,
+            "k": int,
+            "cold_wall_time_s": float,
+            "warm_wall_time_s": float,
+            "speedup": float,
+            "value": float,
+            "cache_hits": int,
+            "cache_misses": int,
+            "compile_hits": int,
+            "compile_misses": int,
+        },
+        # Added after BENCH_pr3/pr4 were recorded, without a version bump.
+        optional=frozenset({"compile_hits", "compile_misses"}),
+        metrics=(
+            "cold_solves_per_s=1/cold_wall_time_s",
+            "warm_solves_per_s=1/warm_wall_time_s",
+            "speedup",
+        ),
+    ),
+    BenchSection(
+        name="service_bench",
+        runner=lambda c: _run_service_bench(eps=c["eps"]),
+        help="add the serving-throughput benchmark section "
+             "(single vs batched vs warm-cache req/s)",
+        fields={
+            "algorithm": str,
+            "n": int,
+            "k": int,
+            "requests": int,
+            "single_rps": float,
+            "batched_rps": float,
+            "warm_rps": float,
+            "max_batch": int,
+            "shed": int,
+        },
+        # Payloads from before the supervised serving mode lack it.
+        optional=frozenset({"supervised"}),
+        parts=(_SUPERVISED,),
+        invariants=(
+            ("requests must be positive", lambda s: s["requests"] > 0),
+            ("max_batch must be >= 1", lambda s: s["max_batch"] >= 1),
+        ),
+        metrics=("single_rps", "batched_rps", "warm_rps"),
+    ),
+    BenchSection(
+        name="compile_bench",
+        runner=lambda c: _run_compile_bench(eps=c["eps"]),
+        help="add the compiled-instance benchmark section "
+             "(per-call compilation vs one shared compiled view)",
+        fields={
+            "n": int,
+            "k": int,
+            "n_distinct": int,
+            "repeats": int,
+            "solves": int,
+            "cold_wall_time_s": float,
+            "shared_wall_time_s": float,
+            "speedup": float,
+            "cold_solves_per_s": float,
+            "shared_solves_per_s": float,
+            "compile_hits": int,
+            "compile_misses": int,
+        },
+        invariants=(("solves must be positive", lambda s: s["solves"] > 0),),
+        metrics=("cold_solves_per_s", "shared_solves_per_s", "speedup"),
+    ),
+    BenchSection(
+        name="backend_bench",
+        runner=lambda c: _run_backend_bench(eps=c["eps"]),
+        help="add the backend-comparison section: large-n sweep and "
+             "sector workloads on the python vs numpy backends, "
+             "asserting value identity",
+        fields={
+            "algorithm": str,
+            "n": int,
+            "k": int,
+            "knapsack_n": int,
+            "knapsack_python_s": float,
+            "knapsack_numpy_s": float,
+            "knapsack_speedup": float,
+            "knapsack_value": float,
+            "kernel_python_s": float,
+            "kernel_numpy_s": float,
+            "kernel_speedup": float,
+            "angle_python_s": float,
+            "angle_numpy_s": float,
+            "angle_speedup": float,
+            "angle_value": float,
+            "sector_algorithm": str,
+            "sector_n": int,
+            "sector_python_s": float,
+            "sector_numpy_s": float,
+            "sector_speedup": float,
+            "sector_value": float,
+        },
+        invariants=(
+            ("sizes must be positive",
+             lambda s: s["n"] > 0 and s["sector_n"] > 0 and s["knapsack_n"] > 0),
+        ),
+        metrics=(
+            "knapsack_speedup",
+            "kernel_speedup",
+            "angle_speedup",
+            "sector_speedup",
+            "knapsack_numpy_solves_per_s=1/knapsack_numpy_s",
+            "kernel_numpy_solves_per_s=1/kernel_numpy_s",
+            "angle_numpy_solves_per_s=1/angle_numpy_s",
+            "sector_numpy_solves_per_s=1/sector_numpy_s",
+        ),
+    ),
+    BenchSection(
+        name="scale_bench",
+        runner=lambda c: _run_scale_bench(eps=c["eps"], sizes=c["scale_sizes"]),
+        help="add the scale section: monolithic-vs-partitioned throughput "
+             "curves on metro instances up to n=10^6, merge-bound "
+             "soundness asserted in-harness (docs/SCALE.md)",
+        fields={
+            "algorithm": str,
+            "family": str,
+            "towns": int,
+        },
+        parts=(_SCALE_ROWS,),
+    ),
+    BenchSection(
+        name="online_bench",
+        runner=lambda c: _run_online_bench(
+            n=c["online_n"], events=c["online_events"]
+        ),
+        help="add the online-delta section: event-apply vs from-scratch "
+             "recompile throughput on a large instance, value identity and "
+             "per-sector cache invalidation asserted in-harness "
+             "(docs/ONLINE.md)",
+        fields={
+            "n": int,
+            "events": int,
+            "adds": int,
+            "removes": int,
+            "updates": int,
+            "delta_s": float,
+            "recompile_s": float,
+            "delta_events_per_s": float,
+            "recompile_events_per_s": float,
+            "speedup": float,
+            "identity_events": int,
+            "sectors": int,
+            "warm_hits": int,
+            "invalidated": int,
+        },
+        invariants=(
+            ("sizes must be positive", lambda s: s["n"] > 0 and s["events"] > 0),
+            ("event mix must sum to the event count",
+             lambda s: s["adds"] + s["removes"] + s["updates"] == s["events"]),
+            ("speedup must be positive", lambda s: s["speedup"] > 0.0),
+            ("must assert identity on every event",
+             lambda s: s["identity_events"] == s["events"]),
+            ("invalidation split must cover every sector",
+             lambda s: s["warm_hits"] + s["invalidated"] == s["sectors"]),
+        ),
+        metrics=("delta_events_per_s", "recompile_events_per_s", "speedup"),
+    ),
+    BenchSection(
+        name="scenario_bench",
+        runner=lambda c: _run_scenario_bench(eps=c["eps"], n=c["scenario_n"]),
+        help="add the constraint-pipeline section: scalar-vs-vectorized "
+             "mask composition identity, constrained solve feasibility "
+             "across backends, and the <10% mask-compose overhead gate "
+             "asserted in-harness (docs/SCENARIOS.md)",
+        fields={
+            "n": int,
+            "towns": int,
+            "stations": int,
+            "segments": int,
+            "identity_n": int,
+            "identity_stations": int,
+            "masked_pairs": int,
+            "total_pairs": int,
+            "compile_s": float,
+            "constraints_s": float,
+            "overhead_ratio": float,
+        },
+        parts=(_SCENARIO_ROWS,),
+        invariants=(
+            ("sizes must be positive",
+             lambda s: s["n"] > 0 and s["identity_n"] > 0),
+            ("station counts must be >= 1",
+             lambda s: s["stations"] >= 1 and s["identity_stations"] >= 1),
+            ("masked pairs must lie within the pair count",
+             lambda s: s["masked_pairs"] <= s["total_pairs"]),
+        ),
+        # The overhead ratio is inverted so that a slower mask
+        # composition reads as a metric drop.
+        metrics=("compose_headroom=1/overhead_ratio",),
+    ),
+)
+
+#: The whole payload below its header: ``runs`` and ``summary`` are
+#: required, every :data:`BENCH_SECTIONS` entry optional.
+PAYLOAD = BenchSection(
+    name="",
+    fields={},
+    parts=(RUNS, SUMMARY) + BENCH_SECTIONS,
+    optional=frozenset(s.name for s in BENCH_SECTIONS),
+    invariants=(
+        ("summary solvers must equal the run solvers",
+         lambda p: set(p["summary"]) == {r["solver"] for r in p["runs"]}),
+    ),
+)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -1462,30 +1633,58 @@ def _check(cond: bool, msg: str) -> None:
         raise ValueError(f"bench payload invalid: {msg}")
 
 
-def _check_fields(obj: dict, fields: Dict[str, type], where: str) -> None:
-    for field, typ in fields.items():
-        _check(field in obj, f"{where} missing field {field!r}")
+def _validate_part(section: BenchSection, value: Any, where: str) -> None:
+    """Validate one occurrence of ``section`` (a collection if ``many``)."""
+    if not section.many:
+        _validate_object(section, value, where)
+        return
+    kind = list if section.many == "list" else dict
+    _check(isinstance(value, kind) and bool(value),
+           f"{where} must be a non-empty {kind.__name__}")
+    for key, obj in (enumerate(value) if kind is list else value.items()):
+        _validate_object(section, obj, f"{where}[{key!r}]")
+
+
+def _validate_object(section: BenchSection, obj: Any, where: str) -> None:
+    _check(isinstance(obj, dict), f"{where or 'payload'} must be an object")
+    for field, typ in section.fields.items():
+        if field not in obj:
+            _check(field in section.optional, f"{where} missing field {field!r}")
+            continue
         val = obj[field]
-        if typ is float:
+        if typ in (int, float):
             _check(
-                isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"{where}.{field} must be a number, got {type(val).__name__}",
+                _is_number(val) and (typ is float or isinstance(val, int)),
+                f"{where}.{field} must be "
+                f"{'a number' if typ is float else 'int'}, "
+                f"got {type(val).__name__}",
             )
+            _check(val >= 0, f"{where}.{field} negative")
         else:
-            _check(
-                isinstance(val, typ) and not (typ is int and isinstance(val, bool)),
-                f"{where}.{field} must be {typ.__name__}, got {type(val).__name__}",
-            )
+            _check(isinstance(val, typ),
+                   f"{where}.{field} must be {typ.__name__}, "
+                   f"got {type(val).__name__}")
+    for part in section.parts:
+        if part.name in obj:
+            _validate_part(part, obj[part.name],
+                           f"{where}.{part.name}" if where else part.name)
+        else:
+            _check(part.name in section.optional,
+                   f"{where or 'payload'} missing field {part.name!r}")
+    for message, holds in section.invariants:
+        _check(holds(obj), f"{where}: {message}" if where else message)
 
 
 def validate_bench(payload: dict) -> dict:
     """Validate a bench payload against the frozen schema; returns it.
 
     Raises ``ValueError`` with a field-level message on the first
-    violation.  Checks: header identity and version, config/environment
-    presence, per-run field names, types and ranges (non-negative times
-    and counts, ``0 <= ratio_vs_bound <= 1 + 1e-6``, ``value <=
-    upper_bound`` within tolerance), and summary consistency with the runs.
+    violation.  Checks the header (identity, version, tag, config and
+    environment presence), then every section declared in
+    :data:`PAYLOAD`: field names and types, every numeric field
+    non-negative, and the declared invariants (e.g. ``ratio_vs_bound <=
+    1 + 1e-6``, ``value <= upper_bound`` within tolerance, summary
+    solvers equal to run solvers).
     """
     _check(isinstance(payload, dict), "payload must be a JSON object")
     _check(payload.get("schema") == SCHEMA_NAME,
@@ -1499,166 +1698,7 @@ def validate_bench(payload: dict) -> dict:
     _check(isinstance(payload.get("config"), dict), "config must be an object")
     _check(isinstance(payload.get("environment"), dict),
            "environment must be an object")
-    runs = payload.get("runs")
-    _check(isinstance(runs, list) and runs, "runs must be a non-empty list")
-    solvers_seen = set()
-    for i, run in enumerate(runs):
-        where = f"runs[{i}]"
-        _check(isinstance(run, dict), f"{where} must be an object")
-        _check_fields(run, _RUN_FIELDS, where)
-        _check(run["kind"] in ("angle", "sector"),
-               f"{where}.kind must be 'angle' or 'sector'")
-        _check(run["wall_time_s"] >= 0.0, f"{where}.wall_time_s negative")
-        _check(run["oracle_calls"] >= 0, f"{where}.oracle_calls negative")
-        _check(run["candidate_windows"] >= 0,
-               f"{where}.candidate_windows negative")
-        _check(run["value"] >= 0.0, f"{where}.value negative")
-        _check(
-            run["value"] <= run["upper_bound"] * (1.0 + 1e-6) + 1e-9,
-            f"{where}.value exceeds its proven upper bound",
-        )
-        _check(
-            -1e-9 <= run["ratio_vs_bound"] <= 1.0 + 1e-6,
-            f"{where}.ratio_vs_bound outside [0, 1]",
-        )
-        for phase, seconds in run["phases"].items():
-            _check(
-                isinstance(phase, str)
-                and isinstance(seconds, (int, float))
-                and seconds >= 0.0,
-                f"{where}.phases[{phase!r}] must map to non-negative seconds",
-            )
-        solvers_seen.add(run["solver"])
-    summary = payload.get("summary")
-    _check(isinstance(summary, dict), "summary must be an object")
-    _check(
-        set(summary) == solvers_seen,
-        f"summary solvers {sorted(summary)} != run solvers {sorted(solvers_seen)}",
-    )
-    for name, s in summary.items():
-        _check_fields(s, _SUMMARY_FIELDS, f"summary[{name!r}]")
-        _check(s["runs"] > 0, f"summary[{name!r}].runs must be positive")
-    if "cache_bench" in payload:
-        cb = payload["cache_bench"]
-        _check(isinstance(cb, dict), "cache_bench must be an object")
-        _check_fields(cb, _CACHE_BENCH_FIELDS, "cache_bench")
-        _check(cb["cold_wall_time_s"] >= 0.0, "cache_bench.cold_wall_time_s negative")
-        _check(cb["warm_wall_time_s"] >= 0.0, "cache_bench.warm_wall_time_s negative")
-        _check(cb["cache_hits"] >= 0 and cb["cache_misses"] >= 0,
-               "cache_bench counters negative")
-    if "compile_bench" in payload:
-        cp = payload["compile_bench"]
-        _check(isinstance(cp, dict), "compile_bench must be an object")
-        _check_fields(cp, _COMPILE_BENCH_FIELDS, "compile_bench")
-        _check(cp["cold_wall_time_s"] >= 0.0,
-               "compile_bench.cold_wall_time_s negative")
-        _check(cp["shared_wall_time_s"] >= 0.0,
-               "compile_bench.shared_wall_time_s negative")
-        _check(cp["solves"] > 0, "compile_bench.solves must be positive")
-        _check(cp["compile_hits"] >= 0 and cp["compile_misses"] >= 0,
-               "compile_bench counters negative")
-    if "backend_bench" in payload:
-        bb = payload["backend_bench"]
-        _check(isinstance(bb, dict), "backend_bench must be an object")
-        _check_fields(bb, _BACKEND_BENCH_FIELDS, "backend_bench")
-        for field in (
-            "knapsack_python_s", "knapsack_numpy_s",
-            "kernel_python_s", "kernel_numpy_s",
-            "angle_python_s", "angle_numpy_s",
-            "sector_python_s", "sector_numpy_s",
-            "knapsack_speedup", "kernel_speedup", "angle_speedup",
-            "sector_speedup",
-        ):
-            _check(bb[field] >= 0.0, f"backend_bench.{field} negative")
-        _check(bb["n"] > 0 and bb["sector_n"] > 0 and bb["knapsack_n"] > 0,
-               "backend_bench sizes must be positive")
-    if "scale_bench" in payload:
-        sc = payload["scale_bench"]
-        _check(isinstance(sc, dict), "scale_bench must be an object")
-        _check_fields(sc, _SCALE_BENCH_FIELDS, "scale_bench")
-        _check(bool(sc["rows"]), "scale_bench.rows must be non-empty")
-        for j, row in enumerate(sc["rows"]):
-            where = f"scale_bench.rows[{j}]"
-            _check(isinstance(row, dict), f"{where} must be an object")
-            _check_fields(row, _SCALE_BENCH_ROW_FIELDS, where)
-            _check(row["n"] > 0, f"{where}.n must be positive")
-            _check(row["mono_s"] >= 0.0 and row["part_s"] >= 0.0,
-                   f"{where} wall times must be non-negative")
-            _check(row["speedup"] >= 0.0, f"{where}.speedup negative")
-            _check(row["merge_bound"] >= 0.0, f"{where}.merge_bound negative")
-            _check(row["parts"] >= 1, f"{where}.parts must be >= 1")
-            _check(row["unreachable"] >= 0, f"{where}.unreachable negative")
-            _check(
-                row["mono_value"]
-                <= row["part_value"] + row["merge_bound"] + 1e-6,
-                f"{where} monolithic value exceeds partitioned value plus "
-                "the certified merge bound",
-            )
-    if "online_bench" in payload:
-        ob = payload["online_bench"]
-        _check(isinstance(ob, dict), "online_bench must be an object")
-        _check_fields(ob, _ONLINE_BENCH_FIELDS, "online_bench")
-        _check(ob["n"] > 0 and ob["events"] > 0,
-               "online_bench sizes must be positive")
-        _check(ob["adds"] + ob["removes"] + ob["updates"] == ob["events"],
-               "online_bench event mix must sum to the event count")
-        _check(ob["delta_s"] >= 0.0 and ob["recompile_s"] >= 0.0,
-               "online_bench wall times must be non-negative")
-        _check(ob["speedup"] > 0.0, "online_bench.speedup must be positive")
-        _check(ob["identity_events"] == ob["events"],
-               "online_bench must assert identity on every event")
-        _check(ob["warm_hits"] + ob["invalidated"] == ob["sectors"],
-               "online_bench invalidation split must cover every sector")
-    if "scenario_bench" in payload:
-        sn = payload["scenario_bench"]
-        _check(isinstance(sn, dict), "scenario_bench must be an object")
-        _check_fields(sn, _SCENARIO_BENCH_FIELDS, "scenario_bench")
-        _check(sn["n"] > 0 and sn["identity_n"] > 0,
-               "scenario_bench sizes must be positive")
-        _check(sn["stations"] >= 1 and sn["identity_stations"] >= 1,
-               "scenario_bench station counts must be >= 1")
-        _check(sn["segments"] >= 0, "scenario_bench.segments negative")
-        _check(
-            0 <= sn["masked_pairs"] <= sn["total_pairs"],
-            "scenario_bench masked pairs must lie within the pair count",
-        )
-        _check(sn["compile_s"] >= 0.0 and sn["constraints_s"] >= 0.0,
-               "scenario_bench wall times must be non-negative")
-        _check(sn["overhead_ratio"] >= 0.0,
-               "scenario_bench.overhead_ratio negative")
-        _check(bool(sn["rows"]), "scenario_bench.rows must be non-empty")
-        for j, row in enumerate(sn["rows"]):
-            where = f"scenario_bench.rows[{j}]"
-            _check(isinstance(row, dict), f"{where} must be an object")
-            _check_fields(row, _SCENARIO_BENCH_ROW_FIELDS, where)
-            _check(row["python_s"] >= 0.0 and row["numpy_s"] >= 0.0,
-                   f"{where} wall times must be non-negative")
-            _check(row["value"] >= 0.0, f"{where}.value negative")
-    if "service_bench" in payload:
-        sb = payload["service_bench"]
-        _check(isinstance(sb, dict), "service_bench must be an object")
-        _check_fields(sb, _SERVICE_BENCH_FIELDS, "service_bench")
-        _check(sb["requests"] > 0, "service_bench.requests must be positive")
-        for rate in ("single_rps", "batched_rps", "warm_rps"):
-            _check(sb[rate] >= 0.0, f"service_bench.{rate} negative")
-        _check(sb["max_batch"] >= 1, "service_bench.max_batch must be >= 1")
-        _check(sb["shed"] >= 0, "service_bench.shed negative")
-        if "supervised" in sb:
-            sup = sb["supervised"]
-            _check(isinstance(sup, dict),
-                   "service_bench.supervised must be an object")
-            _check_fields(sup, _SERVICE_SUPERVISED_FIELDS,
-                          "service_bench.supervised")
-            _check(sup["workers"] >= 1,
-                   "service_bench.supervised.workers must be >= 1")
-            for rate in ("supervised_rps", "kill_rps"):
-                _check(sup[rate] >= 0.0,
-                       f"service_bench.supervised.{rate} negative")
-            _check(0.0 <= sup["kill_rate"] <= 1.0,
-                   "service_bench.supervised.kill_rate out of [0, 1]")
-            for counter in ("restarts", "redispatches", "degraded"):
-                _check(sup[counter] >= 0,
-                       f"service_bench.supervised.{counter} negative")
+    _validate_object(PAYLOAD, payload, "")
     return payload
 
 

@@ -2,17 +2,25 @@
 
 import copy
 import json
+import os
+import pathlib
+import signal
 
 import pytest
 
+from repro.model import generators
 from repro.obs.bench import (
+    BENCH_SECTIONS,
     SCHEMA_NAME,
     SCHEMA_VERSION,
+    _run_supervised_bench,
     load_bench,
     run_bench,
     validate_bench,
     write_bench,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +81,24 @@ class TestRunBench:
         with pytest.raises(ValueError, match="unknown family"):
             run_bench(families=("not-a-family",), n=12)
 
+    def test_unknown_section(self):
+        with pytest.raises(ValueError, match="unknown bench section"):
+            run_bench(families=("uniform",), n=12, sections=("bogus_bench",))
+
+    def test_sections_append_validated_payload_sections(self):
+        out = run_bench(families=("uniform",), n=12, k=2, seeds=(0,),
+                        solvers=("greedy",), tag="sections",
+                        sections=("cache_bench", "online_bench"),
+                        online_n=600, online_events=8)
+        assert [key for key in out if key.endswith("_bench")] == [
+            "cache_bench", "online_bench"]
+        assert out["online_bench"]["identity_events"] == 8
+        assert validate_bench(out) is out
+
+    def test_cache_section_needs_an_angle_family(self):
+        with pytest.raises(ValueError, match="at least one angle family"):
+            run_bench(families=("disk",), n=12, sections=("cache_bench",))
+
 
 class TestValidateBench:
     def test_accepts_real_payload(self, payload):
@@ -118,12 +144,72 @@ class TestValidateBench:
         assert not (tmp_path / "x.json").exists()
 
 
-class TestCommittedBaseline:
-    def test_bench_pr1_json_is_valid(self):
-        import pathlib
+COMMITTED = sorted(ROOT.glob("BENCH_pr*.json"))
 
-        root = pathlib.Path(__file__).resolve().parent.parent
-        baseline = root / "BENCH_pr1.json"
-        assert baseline.exists(), "committed bench baseline missing"
-        payload = load_bench(str(baseline))
-        assert payload["tag"] == "pr1"
+
+class TestCommittedBaseline:
+    def test_baselines_exist(self):
+        assert ROOT / "BENCH_pr1.json" in COMMITTED
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.name)
+    def test_committed_payload_is_valid(self, path):
+        payload = load_bench(str(path))
+        assert payload["tag"] == path.stem[len("BENCH_"):]
+
+
+class TestSectionFlags:
+    def test_cli_generates_one_flag_per_section(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "--help"])
+        help_text = capsys.readouterr().out
+        for flag in ("--cache-bench", "--service-bench", "--compile-bench",
+                     "--backend-bench", "--scale-bench", "--online-bench",
+                     "--scenario-bench"):
+            assert flag in help_text
+        assert len(BENCH_SECTIONS) == 7
+        args = parser.parse_args(["bench", "--scale-bench"])
+        assert [s.name for s in BENCH_SECTIONS if getattr(args, s.name)] == [
+            "scale_bench"]
+
+
+class TestSupervisedBench:
+    """The supervised section must fail when it measured the fallback."""
+
+    INSTANCES = [generators.uniform_angles(n=10, k=2, seed=s) for s in range(6)]
+
+    def test_healthy_pool_records_kill_phase_deltas(self):
+        section = _run_supervised_bench(self.INSTANCES, algorithm="greedy",
+                                        eps=0.5)
+        assert section["requests"] == len(self.INSTANCES)
+        # Deltas of one kill burst, not process-wide running totals.
+        assert section["degraded"] <= len(self.INSTANCES)
+        payload = copy.deepcopy(load_bench(str(ROOT / "BENCH_pr7.json")))
+        payload["service_bench"]["supervised"] = section
+        validate_bench(payload)
+
+    def test_degraded_clean_phase_raises(self, monkeypatch):
+        import repro.service as service
+        from repro.service import ServiceClient
+
+        real_start = service.start_in_thread
+
+        def start_with_workers_down(**kwargs):
+            # A sleepy probe loop holds the killed workers down for the
+            # whole clean burst, so it is served in-process.
+            kwargs["supervisor_options"] = {
+                "probe_interval_s": 1.0,
+                "restart_backoff_s": 0.2,
+                "call_timeout_s": 5.0,
+            }
+            handle = real_start(**kwargs)
+            with ServiceClient(port=handle.port, timeout_s=60.0) as client:
+                for worker in client.stats()["workers"]["workers"]:
+                    os.kill(worker["pid"], signal.SIGKILL)
+            return handle
+
+        monkeypatch.setattr(service, "start_in_thread", start_with_workers_down)
+        with pytest.raises(RuntimeError, match="in-process fallback"):
+            _run_supervised_bench(self.INSTANCES, algorithm="greedy", eps=0.5)

@@ -1,4 +1,4 @@
-"""Doctest execution for documented modules + profiling helper tests."""
+"""Doctest execution for documented modules."""
 
 import doctest
 
@@ -10,15 +10,6 @@ import repro.geometry.angles
 import repro.geometry.points
 import repro.knapsack.api
 import repro.obs
-from repro.analysis.profiling import (
-    ProfileRow,
-    format_profile,
-    hotspots,
-    profile_call,
-)
-from repro.knapsack import get_solver
-from repro.model import generators as gen
-from repro.packing.multi import solve_greedy_multi
 
 DOCTEST_MODULES = [
     repro.geometry.angles,
@@ -43,50 +34,3 @@ def test_module_doctests(module):
     assert results.failed == 0
     assert results.attempted > 0  # the module genuinely has examples
 
-
-class TestProfiling:
-    def test_profile_call_returns_result_and_rows(self):
-        inst = gen.uniform_angles(n=40, k=2, seed=0)
-        oracle = get_solver("greedy")
-        value, rows = profile_call(
-            lambda: solve_greedy_multi(inst, oracle).value(inst)
-        )
-        assert value > 0
-        assert rows
-        assert all(isinstance(r, ProfileRow) for r in rows)
-        # rows are sorted by cumulative time
-        cums = [r.cumulative_time for r in rows]
-        assert cums == sorted(cums, reverse=True)
-
-    def test_hotspots_filter(self):
-        rows = [
-            ProfileRow("repro/x.py:1(f)", 1, 0.1, 0.2),
-            ProfileRow("numpy/y.py:2(g)", 1, 0.1, 0.3),
-        ]
-        hot = hotspots(rows, "repro")
-        assert len(hot) == 1
-        assert "repro" in hot[0].function
-
-    def test_format_profile(self):
-        rows = [ProfileRow("a.py:1(f)", 3, 0.5, 1.0)]
-        out = format_profile(rows)
-        assert "a.py:1(f)" in out
-        assert "cumtime" in out
-
-    def test_exceptions_propagate(self):
-        def boom():
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            profile_call(boom)
-
-    def test_profile_identifies_sweep_as_hot(self):
-        """The guide's point: measure, don't guess — the sweep/oracle layer
-        should dominate a greedy solve, not the verifier."""
-        inst = gen.clustered_angles(n=300, k=3, seed=1)
-        oracle = get_solver("greedy")
-        _, rows = profile_call(
-            lambda: solve_greedy_multi(inst, oracle).value(inst), top=40
-        )
-        ours = hotspots(rows, "repro")
-        assert ours  # some repro frame appears in the hot list
