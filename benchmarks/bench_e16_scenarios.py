@@ -28,14 +28,14 @@ from repro.model import generators as gen
 from repro.model.instance import SectorInstance
 
 
-def _solve(instance, algorithm, partition="never", eps=0.1, backend="python"):
+def _solve(instance, algorithm, partition="never", eps=0.1):
     # eps=0.1 routes the per-antenna oracle to the FPTAS: the scenario
     # family draws continuous demands, on which exact knapsack
     # branch & bound can blow up.
     clear_caches()
     return engine_solve(SolveRequest(
         instance=instance, family="sector", algorithm=algorithm, eps=eps,
-        partition=partition, backend=backend, use_cache=False,
+        partition=partition, use_cache=False,
     ))
 
 
@@ -97,21 +97,12 @@ def test_e16_partition_certificate_survives_constraints():
         assert part.value <= part.extra["partition_upper_bound"] + 1e-9
 
 
-def test_e16_backends_agree_on_scenarios():
-    """Scalar and vectorized backends return the identical value."""
-    inst = gen.scenario_metro_blockage(n=300, towns=3, seed=1)
-    for algorithm in ("greedy", "independent"):
-        py = _solve(inst, algorithm, backend="python").value
-        np_ = _solve(inst, algorithm, backend="numpy").value
-        assert py == np_
-
-
 @pytest.mark.parametrize("n", [400, 1600])
 def test_e16_scenario_solve_runtime(benchmark, n):
     inst = gen.scenario_metro_blockage(n=n, towns=4, seed=0)
 
     def run():
-        return _solve(inst, "greedy", backend="numpy").value
+        return _solve(inst, "greedy").value
 
     value = benchmark.pedantic(run, rounds=2, iterations=1)
     benchmark.extra_info["value"] = float(value)

@@ -59,16 +59,6 @@ python -m repro bench --families uniform --n 50 --seeds 0 \
     --solvers greedy,shifting --tag smoke --output "$out"
 python -m repro bench --check "$out"
 
-echo "== backend bench round-trip =="
-# Small-n backend-comparison smoke: exercises the python-vs-numpy section
-# (value identity is asserted inside the harness; a mismatch aborts the
-# bench) and validates the payload with the section present.
-backend_out="$tmp/BENCH_backend_smoke.json"
-python -m repro bench --families uniform --n 50 --seeds 0 \
-    --solvers greedy --tag backend-smoke --backend-bench \
-    --output "$backend_out"
-python -m repro bench --check "$backend_out"
-
 echo "== scale bench round-trip =="
 # Small-n partition-strategy smoke: exercises the monolithic-vs-partitioned
 # section (merge-bound soundness is asserted inside the harness; a

@@ -61,7 +61,7 @@ from repro.model.serialization import (
     save_instance,
     solution_to_dict,
 )
-from repro.obs.bench import BENCH_SECTIONS, load_bench, run_bench, write_bench
+from repro.obs.bench import RUNNABLE_SECTIONS, load_bench, run_bench, write_bench
 from repro.packing.bounds import combined_upper_bound
 
 #: CLI exit codes (documented in the module docstring / docs/RESILIENCE.md).
@@ -164,7 +164,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     algorithm=args.algorithm,
                     eps=args.eps,
                     timeout_s=timeout,
-                    backend=getattr(args, "backend", "auto"),
                     partition=getattr(args, "partition", "auto"),
                 )
             )
@@ -340,7 +339,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             eps=args.eps,
             tag=args.tag,
             timeout_s=args.timeout,
-            sections=[s.name for s in BENCH_SECTIONS if getattr(args, s.name)],
+            sections=[s.name for s in RUNNABLE_SECTIONS if getattr(args, s.name)],
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -564,12 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fallback", action="store_true",
                    help="degrade exact -> fptas -> greedy instead of failing "
                         "(--timeout bounds the exact stage)")
-    s.add_argument("--backend", default="auto",
-                   choices=("auto", "python", "numpy"),
-                   help="kernel implementation: 'numpy' vectorizes the hot "
-                        "loops of capable solvers (value-identical, see "
-                        "docs/BACKENDS.md), 'auto' picks it on large "
-                        "instances, 'python' forces the scalar oracle path")
     s.add_argument("--partition", default="auto",
                    choices=("auto", "never", "force"),
                    help="solve strategy: 'force' decomposes partitionable "
@@ -618,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-solve budget; also enables the budget-bounded "
                         "anytime exact solver as a bench entry")
-    for section in BENCH_SECTIONS:
+    for section in RUNNABLE_SECTIONS:
         b.add_argument(f"--{section.name.replace('_', '-')}",
                        action="store_true",
                        # argparse %-formats help text ("<10%" in scenario_bench)

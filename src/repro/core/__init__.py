@@ -4,20 +4,12 @@
 problem instance — the common precomputation prefix (sorts, prefix sums,
 candidate grids, per-station polar conversions) that every solver family
 needs.  :mod:`repro.core.backend` holds the vectorized numpy kernels that
-consume those views when a solver runs with ``backend="numpy"`` (contract:
-``docs/BACKENDS.md``).  See ``docs/ARCHITECTURE.md`` for where this layer
-sits in the stack.
+consume those views on the solve path, each checked against a scalar
+reference (contract: ``docs/BACKENDS.md``).  See ``docs/ARCHITECTURE.md``
+for where this layer sits in the stack.
 """
 
-from repro.core.backend import (
-    AUTO_NUMPY_MIN_N,
-    BACKENDS,
-    batched_station_polar,
-    greedy_prefix_mask,
-    nearest_reaching_station,
-    normalize_backend,
-    rotation_scan,
-)
+from repro.core.backend import batched_station_polar, greedy_prefix_mask
 from repro.core.compiled import (
     CompiledAngleInstance,
     CompiledInstance,
@@ -36,11 +28,6 @@ __all__ = [
     "CompiledItems",
     "compile_instance",
     "compile_items",
-    "BACKENDS",
-    "AUTO_NUMPY_MIN_N",
-    "normalize_backend",
-    "rotation_scan",
     "greedy_prefix_mask",
     "batched_station_polar",
-    "nearest_reaching_station",
 ]

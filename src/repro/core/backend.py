@@ -1,36 +1,31 @@
-"""Vectorized numpy kernels behind the per-solver ``backend`` knob.
+"""Vectorized numpy kernels for the hot loops of the compiled core.
 
 The compiled layer (:mod:`repro.core.compiled`) stores struct-of-arrays
 views — argsorted angles, doubled prefix sums, per-station polar arrays,
-density orders — but until this module existed every *consumer* of those
-arrays still walked them one element at a time in pure python.  The three
-kernels here replace exactly those hot loops:
+density orders.  The kernels here replace the consumer loops where the
+vectorized form measured faster (``docs/BACKENDS.md`` holds the table):
 
-* :func:`rotation_scan` — the circular-sweep window scan of
-  :func:`repro.packing.single.best_rotation`: one vectorized
-  everything-fits pass over the doubled prefix sums seeds the incumbent,
-  and only the windows that can still beat it survive for per-window
-  oracle calls;
 * :func:`greedy_prefix_mask` — the sequential acceptance loop of the
   extended density greedy (:func:`repro.knapsack.greedy.solve_greedy`),
   replayed with cumulative sums in a handful of vectorized rounds;
-* :func:`batched_station_polar` / :func:`nearest_reaching_station` — the
-  per-station eligibility scans of :mod:`repro.packing.sectors`, batched
-  into one ``(m, n)`` polar conversion and one masked ``argmin``;
+* :func:`batched_station_polar` — every station's polar conversion of
+  :class:`repro.core.compiled.CompiledSectorInstance`, batched into one
+  ``(m, n)`` pass;
 * :func:`los_blocked` / :func:`topk_station_mask` — the constraint-mask
   composition kernels of :mod:`repro.model.constraints`
   (``docs/SCENARIOS.md``): per-station line-of-sight occlusion against a
   segment set, and the per-customer top-``k`` nearest-reaching-station
-  membership mask, both bit-identical to the scalar per-pair primitives.
+  membership mask.
 
-**Contract** (``docs/BACKENDS.md``): the pure-python path is the oracle.
-Every kernel is either *bit-identical* to the scalar loop it replaces
-(elementwise ufuncs batched over a different shape) or *value-identical*
-(the solved objective value is provably equal while tie selections and
-per-solve work metrics may differ); the tests in
-``tests/test_backend.py`` assert which.  Backend selection is resolved by
-the engine (:func:`repro.engine.planner.plan_backend`) against each
-:class:`~repro.engine.registry.SolverSpec`'s declared ``backends``.
+**Contract**: the solve path always runs these kernels, and each is
+checked against a scalar reference loop — bit-identical for
+``batched_station_polar``, ``los_blocked`` and ``topk_station_mask``
+(elementwise ufuncs batched over a different shape; the scalar
+references are the per-pair primitives of :mod:`repro.model.constraints`
+and :func:`repro.geometry.points.relative_polar`), accept-set identical
+for ``greedy_prefix_mask`` except at adversarial ulp boundaries.  The
+tests in ``tests/test_backend.py`` and ``tests/test_constraints.py`` hold
+the references.
 """
 
 from __future__ import annotations
@@ -42,89 +37,11 @@ import numpy as np
 from repro.numerics import FIT_SLACK, fits
 
 __all__ = [
-    "BACKENDS",
-    "AUTO_NUMPY_MIN_N",
-    "normalize_backend",
-    "rotation_scan",
     "greedy_prefix_mask",
     "batched_station_polar",
-    "nearest_reaching_station",
     "los_blocked",
     "topk_station_mask",
 ]
-
-#: The valid values of every ``backend`` knob (requests additionally
-#: accept ``"auto"``; solvers only ever see the two concrete names).
-BACKENDS = ("python", "numpy", "auto")
-
-#: Instance size at which ``backend="auto"`` switches a numpy-capable
-#: solver from the scalar path to the vectorized kernels.  Below this the
-#: kernel setup cost (argsorts of window potentials, mask allocation)
-#: rivals the python loop it replaces; well above it the vectorized path
-#: wins by orders of magnitude.  Documented in ``docs/BACKENDS.md``.
-AUTO_NUMPY_MIN_N = 2048
-
-#: Same break-even pruning epsilon as the scalar rotation search.
-_PRUNE_EPS = 1e-15
-
-
-def normalize_backend(name: str) -> str:
-    """Validate a backend name; returns it (``ValueError`` otherwise)."""
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}"
-        )
-    return name
-
-
-def rotation_scan(
-    ids: np.ndarray,
-    profit_sums: np.ndarray,
-    demand_sums: np.ndarray,
-    capacity: float,
-) -> Tuple[int, float, float, np.ndarray]:
-    """Vectorized seed-and-prune pass over the canonical windows.
-
-    ``ids`` are the (deduplicated) window ids of a
-    :class:`~repro.geometry.sweep.CircularSweep`; ``profit_sums`` /
-    ``demand_sums`` its per-window totals from the doubled prefix sums.
-    Returns ``(best_id, best_value, best_demand, hard_ids)``:
-
-    * ``best_id`` — the fitting window of maximum profit potential (the
-      stable-first one, matching the scalar visit order), or ``-1`` when
-      no window fits entirely;
-    * ``best_value`` / ``best_demand`` — its totals (0.0 when none);
-    * ``hard_ids`` — the non-fitting windows whose potential still
-      exceeds ``best_value``, in decreasing-potential (stable) order —
-      the only windows the caller must hand to the knapsack oracle.
-
-    Value identity with the scalar loop: both paths end at the unique
-    fixed point ``V = max(best fitting potential, max oracle value over
-    non-fitting windows with potential > V)`` — the scalar loop reaches
-    it by interleaving fast-path and oracle visits, this kernel by
-    seeding with the best fitting window up front (which can only prune
-    *more* oracle calls, never change the maximum).  Tie *selection*
-    (which window realizes an equal value) may differ.
-    """
-    if ids.size == 0:
-        return -1, 0.0, 0.0, ids
-    order = np.argsort(-profit_sums[ids], kind="stable")
-    ids_sorted = ids[order]
-    pot = profit_sums[ids_sorted]
-    fit = fits(demand_sums[ids_sorted], float(capacity))
-
-    best_id, best_value, best_demand = -1, 0.0, 0.0
-    fit_pos = np.flatnonzero(fit)
-    if fit_pos.size:
-        p0 = int(fit_pos[0])
-        # The scalar loop never takes a window with potential <= eps:
-        # its incumbent starts at the empty outcome (value 0).
-        if pot[p0] > _PRUNE_EPS:
-            best_id = int(ids_sorted[p0])
-            best_value = float(pot[p0])
-            best_demand = float(demand_sums[best_id])
-    hard_ids = ids_sorted[(~fit) & (pot > best_value + _PRUNE_EPS)]
-    return best_id, best_value, best_demand, hard_ids
 
 
 def _fits_elementwise(weight: np.ndarray, remaining: np.ndarray) -> np.ndarray:
@@ -156,8 +73,8 @@ def greedy_prefix_mask(weights: np.ndarray, capacity: float) -> np.ndarray:
     one scalar subtraction per item; the shared ``FIT_SLACK`` admission
     band absorbs the one-ulp summation-order differences, so the accept
     set matches the scalar loop on everything but adversarially
-    ulp-boundary weights (the bench harness and the bit-identity tests
-    assert equality).
+    ulp-boundary weights (``tests/test_backend.py`` keeps that loop as
+    the reference and asserts equality).
     """
     w = np.asarray(weights, dtype=np.float64)
     n = w.size
@@ -203,38 +120,6 @@ def batched_station_polar(instance) -> Tuple[np.ndarray, np.ndarray]:
     diff = positions[None, :, :] - centers[:, None, :]
     thetas, rs = cartesians_to_polar(diff.reshape(m * n, 2))
     return thetas.reshape(m, n), rs.reshape(m, n)
-
-
-def nearest_reaching_station(
-    rs_all: np.ndarray,
-    max_radii: np.ndarray,
-    slack: float = 1.0 + 1e-12,
-    eligible: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Home station of every customer: nearest station that reaches it.
-
-    ``rs_all`` is the ``(m, n)`` distance matrix (station-major, as
-    returned by :func:`batched_station_polar`), ``max_radii`` the per-
-    station maximum antenna radius.  Returns ``home`` of shape ``(n,)``
-    with ``-1`` for unreachable customers.  Identical to the per-station
-    scalar loop of ``solve_sector_independent``: the same reach slack,
-    the same ``inf`` fill, and ``argmin``'s first-occurrence tie-break
-    matches the loop's station order.
-
-    ``eligible`` optionally ANDs an ``(m, n)`` boolean mask (the composed
-    constraint masks of ``docs/SCENARIOS.md``) into the reach test, so
-    constrained instances home each customer onto its nearest *effective*
-    station.
-    """
-    rs_all = np.asarray(rs_all, dtype=np.float64)
-    max_radii = np.asarray(max_radii, dtype=np.float64).reshape(-1, 1)
-    reach = rs_all <= max_radii * slack
-    if eligible is not None:
-        reach &= np.asarray(eligible, dtype=bool)
-    dist = np.where(reach, rs_all, np.inf)
-    return np.where(
-        np.isfinite(dist.min(axis=0)), dist.argmin(axis=0), -1
-    ).astype(np.int64)
 
 
 def los_blocked(

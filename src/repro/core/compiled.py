@@ -327,7 +327,7 @@ class CompiledSectorInstance(CompiledInstance):
         (:func:`repro.core.backend.batched_station_polar`) replaces ``m``
         separate per-station conversions; each row is bit-identical to
         what :meth:`station` would compute lazily, so views built either
-        way are interchangeable (and shared between backends).
+        way are interchangeable.
         """
         m = len(self.instance.stations)
         with self._lock:
@@ -344,17 +344,18 @@ class CompiledSectorInstance(CompiledInstance):
                         self.instance, s, polar=(thetas_all[s], rs_all[s])
                     )
 
-    def constraint_masks(
-        self, backend: str = "python"
-    ) -> Optional[List[np.ndarray]]:
+    def constraint_masks(self) -> Optional[List[np.ndarray]]:
         """Per-station composed constraint masks (memoized; ``None`` = all-pass).
 
         Composes the instance's ``constraints`` tuple into one read-only
-        ``(n,)`` boolean mask per station via
+        ``(n,)`` boolean mask per station via the vectorized kernels of
         :func:`repro.model.constraints.compose_station_masks`, fed with
-        the compiled stations' ``rs`` arrays so both backends rank and
-        filter on *identical* distances.  Unconstrained instances pay one
-        attribute check and memoize ``None`` — the pre-pipeline fast path.
+        the compiled stations' ``rs`` arrays (all built by one
+        :meth:`ensure_stations` pass).  The masks are bit-identical to
+        the scalar reference (``backend="python"``), which tests and
+        ``scenario_bench`` compare against.  Unconstrained instances pay
+        one attribute check and memoize ``None`` — the pre-pipeline fast
+        path.
 
         Timed under ``phase.sector.constraints``; the ``scenario_bench``
         section gates this phase at <10% of ``phase.compile``.
@@ -369,13 +370,12 @@ class CompiledSectorInstance(CompiledInstance):
             return None
         from repro.model.constraints import compose_station_masks
 
-        if backend == "numpy":
-            self.ensure_stations()
+        self.ensure_stations()
         with _CONSTRAINT_TIMER.time():
             m = len(self.instance.stations)
             rs_by_station = [self.station(s).rs for s in range(m)]
             composed = compose_station_masks(
-                self.instance, rs_by_station, backend=backend
+                self.instance, rs_by_station, backend="numpy"
             )
             if composed is not None:
                 composed = [_frozen(mask) for mask in composed]
@@ -385,7 +385,7 @@ class CompiledSectorInstance(CompiledInstance):
             return self._constraint_masks  # type: ignore[return-value]
 
     def eligibility(
-        self, backend: str = "python"
+        self,
     ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
         """Per-antenna ``(masks, thetas, rs)`` for the global antenna table.
 
@@ -397,20 +397,15 @@ class CompiledSectorInstance(CompiledInstance):
         the pre-pipeline code), and ``thetas[g]`` / ``rs[g]`` are the
         station's relative polar arrays.  This is the one place
         constraints enter the solve path: every mask-consuming solver
-        honors them without further changes.
-
-        ``backend="numpy"`` prewarms all station views through
-        :meth:`ensure_stations` (one batched polar conversion) before
-        assembling the triple; the memoized result is identical either
-        way, so a view warmed by one backend serves both.
+        honors them without further changes.  Every station is read, so
+        the views are built up front by one :meth:`ensure_stations` pass.
         """
         with self._lock:
             cached = self._eligibility
         if cached is not None:
             return cached
-        if backend == "numpy":
-            self.ensure_stations()
-        cmasks = self.constraint_masks(backend)
+        self.ensure_stations()
+        cmasks = self.constraint_masks()
         with _ELIG_TIMER.time():
             masks: List[np.ndarray] = []
             thetas: List[np.ndarray] = []

@@ -12,8 +12,6 @@ Public surface (contract: ``docs/ENGINE.md``):
 * :func:`cache_probe` / :func:`cache_store` — parent-process warm-cache
   helpers for batching front ends (:mod:`repro.service`);
 * :func:`~repro.engine.planner.plan` — ``algorithm="auto"`` resolution —
-  :func:`~repro.engine.planner.plan_backend` — ``backend="auto"``
-  resolution against each spec's declared kernels (``docs/BACKENDS.md``) —
   and :func:`~repro.engine.planner.plan_partition` — ``partition="auto"``
   strategy resolution against each spec's ``partitionable`` capability
   (``docs/SCALE.md``);
@@ -42,7 +40,7 @@ from repro.engine.partition import (
     reach_components,
     solve_partitioned,
 )
-from repro.engine.planner import plan, plan_backend, plan_partition
+from repro.engine.planner import plan, plan_partition
 from repro.engine.registry import (
     FAMILIES,
     SolveContext,
@@ -72,7 +70,6 @@ __all__ = [
     "merge_partial_solutions",
     "partition_instance",
     "plan",
-    "plan_backend",
     "plan_partition",
     "reach_components",
     "register",

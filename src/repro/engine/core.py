@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine import cache as _cache
-from repro.engine.planner import plan, plan_backend, plan_partition
+from repro.engine.planner import plan, plan_partition
 from repro.engine.registry import SolveContext, SolverSpec, get_spec
 from repro.model.introspect import infer_family, instance_size
 from repro.obs.metrics import get_registry
@@ -53,12 +53,6 @@ _REG = get_registry()
 _REQUESTS = _REG.counter("engine.requests")
 _PLANNED = _REG.counter("engine.planned")
 _SOLVE_TIMER = _REG.timer("engine.solve")
-# Which kernel path served each (uncached) solve; an explicit numpy
-# request on a python-only spec counts under both python and fallback.
-# Contract: docs/OBSERVABILITY.md, docs/BACKENDS.md.
-_BACKEND_PYTHON = _REG.counter("engine.backend.python")
-_BACKEND_NUMPY = _REG.counter("engine.backend.numpy")
-_BACKEND_FALLBACK = _REG.counter("engine.backend.fallback")
 # Which execution strategy served each solve; an explicit
 # partition="force" on a non-partitionable spec counts under both
 # monolithic and fallback.  Contract: docs/OBSERVABILITY.md, docs/SCALE.md.
@@ -76,11 +70,6 @@ class SolveRequest:
     explicitly.  ``algorithm="auto"`` defers to the planner.
     ``timeout_s`` becomes a cooperative ``Budget(wall_s=...)`` activated
     around the solver (carrying a Budget object itself would not pickle).
-    ``backend`` picks the kernel implementation — ``"python"``,
-    ``"numpy"``, or ``"auto"`` (numpy when the resolved solver declares it
-    and the instance is large; see
-    :func:`repro.engine.planner.plan_backend` and ``docs/BACKENDS.md``).
-    Both backends are value-identical, so the result cache key ignores it.
     ``partition`` picks the execution strategy — ``"auto"``, ``"never"``,
     or ``"force"`` (decompose large multi-station sector instances by
     station reach and merge with a certified bound; see
@@ -98,7 +87,6 @@ class SolveRequest:
     timeout_s: Optional[float] = None
     guarantee: Optional[float] = None
     variant: str = "overlap"
-    backend: str = "auto"
     partition: str = "auto"
     use_cache: bool = True
     label: str = ""
@@ -128,17 +116,6 @@ class SolveReport:
     label: str = ""
     error: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
-
-
-def _resolve_backend(request: SolveRequest, spec: SolverSpec) -> str:
-    """Resolve the request's backend and count which path serves the solve."""
-    backend, fell_back = plan_backend(
-        request.backend, spec.backends, instance_size(request.instance)
-    )
-    (_BACKEND_NUMPY if backend == "numpy" else _BACKEND_PYTHON).inc()
-    if fell_back:
-        _BACKEND_FALLBACK.inc()
-    return backend
 
 
 def _resolve_strategy(request: SolveRequest, spec: SolverSpec) -> tuple:
@@ -357,8 +334,7 @@ def _run_monolithic(
     """Run the spec in-process over the whole instance (default strategy)."""
     ctx = SolveContext(eps=request.eps, seed=request.seed,
                        oracle=_build_oracle(spec, request.eps),
-                       compiled=_build_compiled(request.instance, family),
-                       backend=_resolve_backend(request, spec))
+                       compiled=_build_compiled(request.instance, family))
     return spec.run(request.instance, ctx)
 
 

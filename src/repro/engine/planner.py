@@ -27,16 +27,7 @@ and online default to ``exact`` / ``best_fit``.
 cannot be trusted to produce a certified answer, so the planner refuses
 them outright rather than betting on the anytime path.
 
-The planner also owns the *backend* auto rule (:func:`plan_backend`,
-contract in ``docs/BACKENDS.md``): a request's
-``backend="python"|"numpy"|"auto"`` resolves against the chosen spec's
-declared ``backends`` — ``"auto"`` picks numpy exactly when the spec
-declares it and the instance has at least :data:`AUTO_NUMPY_MIN_N`
-customers (below that the kernel setup cost rivals the python loop);
-requesting ``"numpy"`` on a python-only spec falls back to ``"python"``
-cleanly (the engine counts it under ``engine.backend.fallback``).
-
-And the *partition* auto rule (:func:`plan_partition`, contract in
+The planner also owns the *partition* auto rule (:func:`plan_partition`, contract in
 ``docs/SCALE.md``): ``partition="auto"|"never"|"force"`` resolves against
 the chosen spec's ``partitionable`` capability and the instance size —
 ``"auto"`` partitions exactly when the spec allows it, the instance is a
@@ -48,20 +39,17 @@ non-partitionable spec falls back to monolithic cleanly (counted under
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.core.backend import AUTO_NUMPY_MIN_N, normalize_backend
 from repro.engine.registry import get_spec
 
 __all__ = [
     "plan",
-    "plan_backend",
     "plan_partition",
     "SMALL_N",
     "SMALL_K",
     "MID_N",
     "TIGHT_DEADLINE_S",
-    "AUTO_NUMPY_MIN_N",
     "AUTO_PARTITION_MIN_N",
 ]
 
@@ -74,26 +62,6 @@ TIGHT_DEADLINE_S = 2.0
 #: this the O(m·n) partition pass and per-part solve overhead rival the
 #: monolithic solve (``docs/SCALE.md``).
 AUTO_PARTITION_MIN_N = 20_000
-
-
-def plan_backend(
-    requested: str, backends: Sequence[str], size: int
-) -> Tuple[str, bool]:
-    """Resolve a requested backend against a spec's declared ``backends``.
-
-    Returns ``(backend, fell_back)`` where ``backend`` is ``"python"`` or
-    ``"numpy"`` and ``fell_back`` is True when an explicit ``"numpy"``
-    request had to drop to python because the spec declares no vectorized
-    kernel.  ``"auto"`` never counts as a fallback: it is a preference,
-    resolved by the size threshold above.
-    """
-    requested = normalize_backend(requested)
-    has_numpy = "numpy" in backends
-    if requested == "numpy":
-        return ("numpy", False) if has_numpy else ("python", True)
-    if requested == "auto" and has_numpy and size >= AUTO_NUMPY_MIN_N:
-        return "numpy", False
-    return "python", False
 
 
 def plan_partition(

@@ -65,20 +65,12 @@ class SolveContext:
     family), resolved by the engine via
     :func:`repro.engine.cache.shared_compiled`; ``None`` lets each solver
     fall back to the per-object ``instance.compile()`` memo.
-
-    ``backend`` is the *resolved* kernel choice — ``"python"`` or
-    ``"numpy"``, never ``"auto"`` (the engine resolves requests through
-    :func:`repro.engine.planner.plan_backend` against the spec's declared
-    ``backends`` before building the context).  Run wrappers of
-    numpy-capable solvers thread it into the solver; the rest ignore it.
-    Contract: ``docs/BACKENDS.md``.
     """
 
     eps: float = 1.0
     seed: int = 0
     oracle: Any = None
     compiled: Any = None
-    backend: str = "python"
 
 
 @dataclass(frozen=True)
@@ -114,23 +106,14 @@ class SolverSpec:
     uses:
         Names of :mod:`repro.packing` exports this spec covers, consumed
         by the registry completeness check.
-    backends:
-        Kernel implementations this solver can run on (``"python"`` is
-        always first; solvers whose run wrapper threads
-        ``SolveContext.backend`` into vectorized kernels also declare
-        ``"numpy"``).  :func:`repro.engine.planner.plan_backend` resolves
-        a request's ``backend`` against this tuple — requesting numpy on
-        a python-only spec falls back cleanly (counted by
-        ``engine.backend.fallback``).  Contract: ``docs/BACKENDS.md``.
     partitionable:
         Whether the solver's answers survive the reach-component
         decomposition of :mod:`repro.engine.partition` — i.e. running it
         per component and concatenating yields a feasible solution of
         the whole instance.  Only meaningful for sector solvers whose
         work is local to a station's reach; the planner's
-        :func:`repro.engine.planner.plan_partition` consults this column
-        the way ``plan_backend`` consults ``backends``.  Contract:
-        ``docs/SCALE.md``.
+        :func:`repro.engine.planner.plan_partition` consults this column.
+        Contract: ``docs/SCALE.md``.
     accepts:
         ``accepts(instance) -> None | str``: None when applicable, else a
         one-line rejection reason (wrong k, heterogeneous antennas, ...).
@@ -147,7 +130,6 @@ class SolverSpec:
     supports_budget: bool = False
     complexity: str = "poly"
     uses: Tuple[str, ...] = ()
-    backends: Tuple[str, ...] = ("python",)
     partitionable: bool = False
     accepts: Optional[Callable[[Any], Optional[str]]] = None
     description: str = ""
@@ -251,29 +233,22 @@ def _beta_greedy(beta: float) -> float:
 def _run_greedy(instance, ctx):
     from repro.packing import solve_greedy_multi
 
-    return solve_greedy_multi(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
+    return solve_greedy_multi(instance, ctx.oracle, compiled=ctx.compiled)
 
 
 def _run_adaptive(instance, ctx):
     from repro.packing import solve_greedy_multi
 
     return solve_greedy_multi(
-        instance, ctx.oracle, adaptive=True, compiled=ctx.compiled,
-        backend=ctx.backend,
+        instance, ctx.oracle, adaptive=True, compiled=ctx.compiled
     )
 
 
 def _run_greedy_ls(instance, ctx):
     from repro.packing import improve_solution, solve_greedy_multi
 
-    base = solve_greedy_multi(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
-    return improve_solution(
-        instance, base, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
+    base = solve_greedy_multi(instance, ctx.oracle, compiled=ctx.compiled)
+    return improve_solution(instance, base, ctx.oracle, compiled=ctx.compiled)
 
 
 def _run_dp_disjoint(instance, ctx):
@@ -321,9 +296,7 @@ def _run_exact_anytime(instance, ctx):
 def _run_single(instance, ctx):
     from repro.packing import solve_single_antenna
 
-    return solve_single_antenna(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
+    return solve_single_antenna(instance, ctx.oracle, compiled=ctx.compiled)
 
 
 def _run_splittable(instance, ctx):
@@ -340,19 +313,15 @@ def _run_splittable(instance, ctx):
 def _run_sector_greedy(instance, ctx):
     from repro.packing import solve_sector_greedy
 
-    return solve_sector_greedy(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
+    return solve_sector_greedy(instance, ctx.oracle, compiled=ctx.compiled)
 
 
 def _run_sector_greedy_ls(instance, ctx):
     from repro.packing import improve_sector_solution, solve_sector_greedy
 
-    base = solve_sector_greedy(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
-    )
+    base = solve_sector_greedy(instance, ctx.oracle, compiled=ctx.compiled)
     return improve_sector_solution(
-        instance, base, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
+        instance, base, ctx.oracle, compiled=ctx.compiled
     )
 
 
@@ -360,7 +329,7 @@ def _run_sector_independent(instance, ctx):
     from repro.packing import solve_sector_independent
 
     return solve_sector_independent(
-        instance, ctx.oracle, compiled=ctx.compiled, backend=ctx.backend
+        instance, ctx.oracle, compiled=ctx.compiled
     )
 
 
@@ -388,8 +357,6 @@ def _make_knapsack_run(solver_name: str):
 
         weights, profits, capacity = payload
         kwargs = {"eps": ctx.eps if ctx.eps < 1.0 else 0.5} if solver_name == "fptas" else {}
-        if solver_name == "greedy":
-            kwargs["backend"] = ctx.backend
         solver = get_solver(solver_name, **kwargs)
         return solver.solve(
             np.asarray(weights, dtype=np.float64),
@@ -435,7 +402,6 @@ def _register_builtin() -> None:
         name="greedy", family="angle", run=_run_greedy,
         guarantee="b/(1+b)", guarantee_fn=_beta_greedy, supports_budget=True,
         uses=("solve_greedy_multi",),
-        backends=("python", "numpy"),
         accepts=_is_angle,
         description="separable-assignment greedy, one knapsack per antenna",
     ))
@@ -443,7 +409,6 @@ def _register_builtin() -> None:
         name="adaptive", family="angle", run=_run_adaptive,
         guarantee="b/(1+b)", guarantee_fn=_beta_greedy, supports_budget=True,
         uses=("solve_greedy_multi",),
-        backends=("python", "numpy"),
         accepts=_is_angle,
         description="greedy re-evaluating every remaining antenna each round",
     ))
@@ -452,7 +417,6 @@ def _register_builtin() -> None:
         guarantee="b/(1+b) + polish", guarantee_fn=_beta_greedy,
         supports_budget=True,
         uses=("solve_greedy_multi", "improve_solution"),
-        backends=("python", "numpy"),
         accepts=_is_angle,
         description="greedy followed by monotone local search",
     ))
@@ -506,7 +470,6 @@ def _register_builtin() -> None:
         name="single", family="angle", run=_run_single,
         guarantee="b", guarantee_fn=_beta_identity,
         uses=("solve_single_antenna", "best_rotation", "canonical_starts"),
-        backends=("python", "numpy"),
         accepts=_angle_single,
         description="rotation search for the one-antenna case",
     ))
@@ -523,7 +486,6 @@ def _register_builtin() -> None:
         name="greedy", family="sector", run=_run_sector_greedy,
         guarantee="b/(1+b)", guarantee_fn=_beta_greedy, supports_budget=True,
         uses=("solve_sector_greedy",),
-        backends=("python", "numpy"),
         partitionable=True,
         accepts=_is_sector,
         description="global greedy over every antenna of every station",
@@ -533,7 +495,6 @@ def _register_builtin() -> None:
         guarantee="b/(1+b) + polish", guarantee_fn=_beta_greedy,
         supports_budget=True,
         uses=("solve_sector_greedy", "improve_sector_solution"),
-        backends=("python", "numpy"),
         partitionable=True,
         accepts=_is_sector,
         description="sector greedy followed by monotone local search",
@@ -542,7 +503,6 @@ def _register_builtin() -> None:
         name="independent", family="sector", run=_run_sector_independent,
         guarantee="heuristic baseline",
         uses=("solve_sector_independent",),
-        backends=("python", "numpy"),
         partitionable=True,
         accepts=_is_sector,
         description="nearest-station partition, independent 1-D solves",
@@ -577,7 +537,6 @@ def _register_builtin() -> None:
             variant="-", exact=kexact, guarantee=kguar,
             supports_eps=(kname == "fptas"),
             complexity="exponential" if kname == "exact" else "poly",
-            backends=("python", "numpy") if kname == "greedy" else ("python",),
             accepts=_knapsack_triple,
             description=f"inner knapsack oracle ({kname})",
         ))

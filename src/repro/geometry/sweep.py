@@ -241,19 +241,6 @@ class CircularSweep:
         """Number of covered customers for every window (vectorized)."""
         return self._hi - self._lo
 
-    def window_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(lo, hi)`` bounds of all windows, as read-only arrays.
-
-        ``hi`` may exceed ``n`` to express wrap-around (same convention as
-        :class:`WindowView`).  This is the raw material of the vectorized
-        backend (:mod:`repro.core.backend`): window sums, counts, and
-        membership tests are all expressible as gather/scatter over these
-        spans without touching :meth:`window` in a loop.
-        """
-        self._lo.setflags(write=False)
-        self._hi.setflags(write=False)
-        return self._lo, self._hi
-
     def window_sums(self, values: np.ndarray) -> np.ndarray:
         """``sum(values[covered])`` for every canonical window at once.
 

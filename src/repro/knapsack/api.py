@@ -197,17 +197,9 @@ class FptasKnapsack(KnapsackSolver):
 
 
 class GreedyKnapsack(KnapsackSolver):
-    """Density greedy + best-single-item: ``value >= OPT / 2``.
-
-    ``backend`` selects the acceptance-scan implementation of
-    :func:`repro.knapsack.greedy.solve_greedy` (``"python"`` or
-    ``"numpy"``; see ``docs/BACKENDS.md``).
-    """
+    """Density greedy + best-single-item: ``value >= OPT / 2``."""
 
     name = "greedy"
-
-    def __init__(self, backend: str = "python"):
-        self.backend = backend
 
     @property
     def guarantee(self) -> float:
@@ -219,9 +211,7 @@ class GreedyKnapsack(KnapsackSolver):
         from repro.knapsack.greedy import solve_greedy
 
         t0 = time.perf_counter()
-        res = solve_greedy(
-            weights, profits, capacity, compiled=compiled, backend=self.backend
-        )
+        res = solve_greedy(weights, profits, capacity, compiled=compiled)
         _record_oracle("greedy", int(np.size(weights)), time.perf_counter() - t0)
         return res
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.backend import greedy_prefix_mask
 from repro.knapsack.api import KnapsackResult, _as_arrays, _fits
 
 
 def solve_greedy(
-    weights, profits, capacity: float, *, compiled=None, backend: str = "python"
+    weights, profits, capacity: float, *, compiled=None
 ) -> KnapsackResult:
     """Density greedy + best single item; ``value >= OPT / 2``; ``O(n log n)``.
 
@@ -31,10 +32,11 @@ def solve_greedy(
     restriction of a stable global sort to a subset equals the stable sort
     of that subset, so the result is identical.
 
-    ``backend="numpy"`` replays the sequential acceptance scan with the
-    vectorized :func:`repro.core.backend.greedy_prefix_mask` (cumulative
-    sums in a few rounds).  Same visit order and admission rule; summation
-    order differs by at most the one-ulp slack that
+    The acceptance scan ("take while it fits, keep scanning past
+    misfits") runs as the vectorized
+    :func:`repro.core.backend.greedy_prefix_mask` (cumulative sums in a
+    few rounds).  Same visit order and admission rule as the sequential
+    loop; summation order differs by at most the one-ulp slack that
     :func:`repro.numerics.fits` is documented to absorb.
     """
     w, p = _as_arrays(weights, profits)
@@ -58,19 +60,8 @@ def solve_greedy(
         )
         order = idx[np.argsort(-dens, kind="stable")]
 
-    if backend == "numpy":
-        from repro.core.backend import greedy_prefix_mask
-
-        greedy_sel = np.asarray(order[greedy_prefix_mask(w[order], cap)],
-                                dtype=np.intp)
-    else:
-        chosen = []
-        remaining = cap
-        for i in order:
-            if _fits(w[i], remaining):
-                chosen.append(i)
-                remaining -= w[i]
-        greedy_sel = np.array(chosen, dtype=np.intp)
+    greedy_sel = np.asarray(order[greedy_prefix_mask(w[order], cap)],
+                            dtype=np.intp)
     greedy_value = float(p[greedy_sel].sum())
 
     best_single = idx[int(np.argmax(p[idx]))]

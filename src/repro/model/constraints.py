@@ -48,8 +48,9 @@ Registered kinds (grammar and composition semantics: ``docs/SCENARIOS.md``):
 
 Composition is a plain AND across constraints, so order never matters
 and duplicate constraints are idempotent.  The scalar composition path
-here is the **oracle**; the vectorized kernels in
-:mod:`repro.core.backend` are bit-identical to it (elementwise IEEE
+here is the **reference**; the vectorized kernels in
+:mod:`repro.core.backend`, which the compiled core always composes with,
+are bit-identical to it (elementwise IEEE
 expressions, stable sorts — asserted by ``tests/test_constraints.py``
 and in-harness by the ``scenario_bench`` section of ``repro.obs.bench``).
 """
@@ -435,8 +436,10 @@ def compose_station_masks(
     unconstrained path bit-identical to the pre-pipeline code.
 
     ``backend="numpy"`` routes each constraint through the vectorized
-    kernels of :mod:`repro.core.backend`; the result is bit-identical to
-    the scalar path (asserted by tests and by ``scenario_bench``).
+    kernels of :mod:`repro.core.backend` — the path
+    :meth:`~repro.core.compiled.CompiledSectorInstance.constraint_masks`
+    runs.  ``backend="python"`` is the scalar reference; the two are
+    bit-identical (asserted by tests and by ``scenario_bench``).
     """
     active = nontrivial_constraints(getattr(instance, "constraints", ()))
     if not active:

@@ -3,8 +3,8 @@
 Two tiny heuristics used to be private to ``repro.engine.core`` and were
 about to be re-implemented by the partition planner and the service
 batcher; they live here so every layer agrees on what a payload *is*
-(family) and how *big* it is (the size that drives the backend and
-partition auto thresholds).
+(family) and how *big* it is (the size that drives the partition auto
+threshold).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def infer_family(instance: Any) -> str:
 
 
 def instance_size(instance: Any) -> int:
-    """Customer/item count driving the backend and partition thresholds."""
+    """Customer/item count driving the partition auto threshold."""
     n = getattr(instance, "n", None)
     if n is not None:
         return int(n)

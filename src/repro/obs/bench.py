@@ -151,9 +151,9 @@ def run_bench(
     which is only benchable *because* it is bounded (default 1s).
 
     ``sections`` names the additive payload sections to append, from
-    :data:`BENCH_SECTIONS` (``"cache_bench"``, ``"service_bench"``,
-    ``"compile_bench"``, ``"backend_bench"``, ``"scale_bench"``,
-    ``"online_bench"``, ``"scenario_bench"``).  Schema stays v1: each is
+    :data:`RUNNABLE_SECTIONS` (``"cache_bench"``, ``"service_bench"``,
+    ``"compile_bench"``, ``"scale_bench"``, ``"online_bench"``,
+    ``"scenario_bench"``).  Schema stays v1: each is
     validated only when present, and its runner's docstring describes
     what it measures and which invariants it asserts in-harness (a
     violation raises instead of recording).  ``scale_sizes`` sets the
@@ -166,11 +166,12 @@ def run_bench(
 
     if not families:
         raise ValueError("no families given")
-    unknown_sections = sorted(set(sections) - {s.name for s in BENCH_SECTIONS})
+    runnable = [s.name for s in RUNNABLE_SECTIONS]
+    unknown_sections = sorted(set(sections) - set(runnable))
     if unknown_sections:
         raise ValueError(
             f"unknown bench section(s) {unknown_sections}; available: "
-            f"{[s.name for s in BENCH_SECTIONS]}"
+            f"{runnable}"
         )
     name_table = _bench_name_table()
     if solvers is not None:
@@ -296,7 +297,7 @@ def run_bench(
         "online_events": online_events,
         "scenario_n": scenario_n,
     }
-    for section in BENCH_SECTIONS:
+    for section in RUNNABLE_SECTIONS:
         if section.name in sections:
             payload[section.name] = section.runner(context)
     return payload
@@ -446,177 +447,6 @@ def _run_compile_bench(
         "compile_misses": int(
             snap.get("engine.compile.misses", {}).get("value", 0)
         ),
-    }
-
-
-def _run_backend_bench(
-    eps: float,
-    n: int = 20000,
-    k: int = 3,
-    sector_n: int = 2000,
-    knapsack_n: int = 200_000,
-    repeats: int = 3,
-    algorithm: str = "greedy",
-    sector_algorithm: str = "independent",
-) -> dict:
-    """Python-vs-numpy backend comparison on large engine workloads.
-
-    Three workloads, each solved through the engine on both backends with
-    the shared precompute cache warm (one priming solve first), so the
-    timing isolates the solver hot loop — exactly what the backend knob
-    changes:
-
-    * **knapsack** — the headline: ``knapsack_n`` items through the
-      density greedy, whose scalar path is a genuine ``O(n)``
-      one-item-at-a-time python loop that
-      :func:`repro.core.backend.greedy_prefix_mask` replays in a handful
-      of vectorized rounds.  Recorded twice: ``knapsack_speedup`` is the
-      end-to-end engine ratio (it includes the density argsort and
-      result assembly both backends share, so Amdahl caps it around
-      2-4x), and ``kernel_speedup`` times the acceptance scan itself —
-      the exact loop the backend knob swaps out, with the accept sets
-      asserted identical.  ``kernel_speedup`` is the ``>= 10x`` number
-      the acceptance bar reads;
-    * **angle** — an ``n``-customer moderate-``rho`` sweep through the
-      greedy rotation solver.  The scalar scan already prunes to a few
-      visits on this shape, so the recorded ``angle_speedup`` is a
-      parity check (~1x), not a headline — the section exists to assert
-      value identity of :func:`repro.core.backend.rotation_scan` at
-      scale;
-    * **sector** — a multi-station city at ``sector_n`` customers, where
-      the numpy path batches the per-station polar conversions and the
-      home-assignment scan.
-
-    Every comparison **asserts value identity** between the backends
-    (the ``docs/BACKENDS.md`` contract); a mismatch raises
-    ``RuntimeError`` rather than recording a payload.  Timed sections
-    run ``repeats`` times and keep the per-backend minimum, which
-    de-noises the sub-millisecond numpy sides.
-    """
-    import dataclasses
-    import math
-
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-    from repro.model.generators import grid_city, uniform_angles
-
-    base = uniform_angles(n=n, k=k, seed=0, capacity_fraction=4.0)
-    spec0 = base.antennas[0]
-    angle_instance = AngleInstance(
-        thetas=base.thetas,
-        demands=base.demands,
-        profits=base.profits,
-        antennas=tuple(
-            dataclasses.replace(spec0, rho=math.pi / 3.0) for _ in range(k)
-        ),
-    )
-    sector_instance = grid_city(n=sector_n, seed=0, capacity_fraction=1.0)
-    rng = np.random.default_rng(0)
-    knapsack_instance = (
-        rng.uniform(0.1, 1.0, size=knapsack_n),
-        rng.uniform(0.1, 1.0, size=knapsack_n),
-        0.25 * 0.55 * knapsack_n,
-    )
-
-    def timed_pair(instance, family, algorithm) -> Tuple[float, float, float]:
-        def solve_once(backend: str):
-            request = SolveRequest(
-                instance=instance,
-                family=family,
-                algorithm=algorithm,
-                eps=eps,
-                use_cache=False,
-                backend=backend,
-            )
-            t0 = time.perf_counter()
-            report = engine_solve(request)
-            return time.perf_counter() - t0, report.value
-
-        clear_caches()
-        solve_once("python")  # priming: warms the shared compile cache
-        python_s = min(solve_once("python")[0] for _ in range(repeats))
-        python_value = solve_once("python")[1]
-        numpy_s = min(solve_once("numpy")[0] for _ in range(repeats))
-        numpy_value = solve_once("numpy")[1]
-        if python_value != numpy_value:
-            raise RuntimeError(
-                "backend bench invariant broken: numpy backend value "
-                f"{numpy_value!r} != python value {python_value!r} "
-                f"({family}/{algorithm})"
-            )
-        return python_s, numpy_s, float(python_value)
-
-    def speedup(python_s: float, numpy_s: float) -> float:
-        return float(python_s / numpy_s) if numpy_s > 0 else float("inf")
-
-    kn_python_s, kn_numpy_s, kn_value = timed_pair(
-        knapsack_instance, "knapsack", "greedy"
-    )
-
-    # Kernel-level comparison: the density-order acceptance scan alone
-    # (the python branch of repro.knapsack.greedy.solve_greedy vs
-    # greedy_prefix_mask), with bit-identical accept sets asserted.
-    from repro.core.backend import greedy_prefix_mask
-    from repro.knapsack.api import _fits
-
-    kw, kp, kcap = knapsack_instance
-    kcap = float(kcap)
-    dens = np.where(kw > 1e-12, kp / np.maximum(kw, 1e-300), np.inf)
-    order = np.argsort(-dens, kind="stable")
-    wo = kw[order]
-
-    def python_scan() -> np.ndarray:
-        chosen = []
-        remaining = kcap
-        for i in order:
-            if _fits(kw[i], remaining):
-                chosen.append(i)
-                remaining -= kw[i]
-        return np.array(chosen, dtype=np.intp)
-
-    kernel_python_s = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar_sel = python_scan()
-        kernel_python_s = min(kernel_python_s, time.perf_counter() - t0)
-    kernel_numpy_s = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        vector_sel = order[greedy_prefix_mask(wo, kcap)]
-        kernel_numpy_s = min(kernel_numpy_s, time.perf_counter() - t0)
-    if not np.array_equal(scalar_sel, vector_sel):
-        raise RuntimeError(
-            "backend bench invariant broken: greedy_prefix_mask accept "
-            "set differs from the scalar scan"
-        )
-    angle_python_s, angle_numpy_s, angle_value = timed_pair(
-        angle_instance, "angle", algorithm
-    )
-    sector_python_s, sector_numpy_s, sector_value = timed_pair(
-        sector_instance, "sector", sector_algorithm
-    )
-    return {
-        "algorithm": algorithm,
-        "n": int(n),
-        "k": int(k),
-        "knapsack_n": int(knapsack_n),
-        "knapsack_python_s": float(kn_python_s),
-        "knapsack_numpy_s": float(kn_numpy_s),
-        "knapsack_speedup": speedup(kn_python_s, kn_numpy_s),
-        "knapsack_value": float(kn_value),
-        "kernel_python_s": float(kernel_python_s),
-        "kernel_numpy_s": float(kernel_numpy_s),
-        "kernel_speedup": speedup(kernel_python_s, kernel_numpy_s),
-        "angle_python_s": float(angle_python_s),
-        "angle_numpy_s": float(angle_numpy_s),
-        "angle_speedup": speedup(angle_python_s, angle_numpy_s),
-        "angle_value": float(angle_value),
-        "sector_algorithm": sector_algorithm,
-        "sector_n": int(sector_n),
-        "sector_python_s": float(sector_python_s),
-        "sector_numpy_s": float(sector_numpy_s),
-        "sector_speedup": speedup(sector_python_s, sector_numpy_s),
-        "sector_value": float(sector_value),
     }
 
 
@@ -911,15 +741,14 @@ def _run_scenario_bench(
     rather than recording a payload):
 
     * *composition identity* — on an ``identity_n``-customer scenario,
-      the scalar constraint composition (the oracle,
+      the scalar constraint composition (the reference,
       :func:`repro.model.constraints.compose_station_masks` with
-      ``backend="python"``) and the vectorized kernel path
-      (``backend="numpy"``) produce bit-identical per-station masks;
-    * *mask feasibility + backend value identity* — engine solves of the
-      constrained scenario on the ``python`` and ``numpy`` backends
-      verify feasible (:meth:`SectorSolution.verify` checks every served
-      pair against the composed masks) and agree on the objective value
-      exactly;
+      ``backend="python"``) and the vectorized kernel path the solvers
+      run (``backend="numpy"``) produce bit-identical per-station masks;
+    * *mask feasibility* — engine solves (``greedy`` and
+      ``independent``) of the constrained scenario verify feasible
+      (:meth:`SectorSolution.verify` checks every served pair against
+      the composed masks);
     * *overhead gate* — on the ``n``-customer scenario, the
       ``phase.sector.constraints`` timer (mask composition inside
       :meth:`CompiledSectorInstance.constraint_masks`) is **< 10%** of
@@ -966,41 +795,16 @@ def _run_scenario_bench(
     masked_pairs = int(sum(int((~mask).sum()) for mask in masks_py))
     total_pairs = int(m_small * small.n)
 
-    # -- invariant 2: constrained solves verify + backends agree --------
-    rows: List[dict] = []
+    # -- invariant 2: every constrained solve verifies -------------------
     for algorithm in ("greedy", "independent"):
-        values: Dict[str, float] = {}
-        times: Dict[str, float] = {}
-        for backend in ("python", "numpy"):
-            clear_caches()
-            request = SolveRequest(
-                instance=small,
-                family="sector",
-                algorithm=algorithm,
-                eps=eps,
-                backend=backend,
-                use_cache=False,
-            )
-            report = engine_solve(request)
-            # verify() re-derives the composed masks and rejects any
-            # served pair a constraint masks out.
-            report.solution.verify(small)
-            values[backend] = float(report.value)
-            times[backend] = float(report.seconds)
-        if values["python"] != values["numpy"]:
-            raise RuntimeError(
-                "scenario bench invariant broken: constrained "
-                f"{algorithm!r} value differs across backends "
-                f"(python={values['python']!r}, numpy={values['numpy']!r})"
-            )
-        rows.append(
-            {
-                "solver": algorithm,
-                "python_s": times["python"],
-                "numpy_s": times["numpy"],
-                "value": values["python"],
-            }
-        )
+        clear_caches()
+        report = engine_solve(SolveRequest(
+            instance=small, family="sector", algorithm=algorithm, eps=eps,
+            use_cache=False,
+        ))
+        # verify() re-derives the composed masks and rejects any served
+        # pair a constraint masks out.
+        report.solution.verify(small)
 
     # -- invariant 3: mask composition < 10% of unconstrained compile ---
     big = scenario_metro_blockage(n=n, towns=towns, seed=0)
@@ -1013,12 +817,12 @@ def _run_scenario_bench(
     compile_s = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        CompiledSectorInstance(plain).eligibility("numpy")
+        CompiledSectorInstance(plain).eligibility()
         compile_s = min(compile_s, time.perf_counter() - t0)
     constraints_s = float("inf")
     for _ in range(repeats):
         registry.reset()
-        CompiledSectorInstance(big).eligibility("numpy")
+        CompiledSectorInstance(big).eligibility()
         snap = registry.snapshot()
         constraints_s = min(
             constraints_s,
@@ -1052,7 +856,6 @@ def _run_scenario_bench(
         "compile_s": float(compile_s),
         "constraints_s": float(constraints_s),
         "overhead_ratio": float(overhead_ratio),
-        "rows": rows,
     }
 
 
@@ -1276,10 +1079,11 @@ class BenchSection:
     ``parts`` are nested sections keyed by their ``name``; a part with
     ``many="list"`` (or ``"map"``) is a non-empty collection of such
     objects, and ``label`` (formatted with the element's fields, or its
-    map ``key``) names each element's metrics.  A top-level section with
-    a ``runner`` is optional in the payload and gets the CLI flag
+    map ``key``) names each element's metrics.  Every top-level section
+    is optional in the payload.  One with a ``runner`` gets the CLI flag
     ``--<name>`` (underscores as dashes) with ``help`` as its text; the
-    runner maps the bench context to the section object.
+    runner maps the bench context to the section object.  One without a
+    runner is history: validated when present, never produced.
     """
 
     name: str
@@ -1410,8 +1214,9 @@ _SCENARIO_ROWS = BenchSection(
     ),
 )
 
-#: The optional sections ``run_bench(sections=...)`` can append, in
-#: payload order; each is validated only when present (schema stays v1).
+#: The optional payload sections, in payload order; each is validated
+#: only when present (schema stays v1).  Those with a runner are the
+#: ones ``run_bench(sections=...)`` can append.
 BENCH_SECTIONS: Tuple[BenchSection, ...] = (
     BenchSection(
         name="cache_bench",
@@ -1485,12 +1290,10 @@ BENCH_SECTIONS: Tuple[BenchSection, ...] = (
         invariants=(("solves must be positive", lambda s: s["solves"] > 0),),
         metrics=("cold_solves_per_s", "shared_solves_per_s", "speedup"),
     ),
+    # Read-only history (BENCH_pr6-pr10): the python-vs-numpy backend
+    # comparison, retired with the backend knob (docs/BACKENDS.md).
     BenchSection(
         name="backend_bench",
-        runner=lambda c: _run_backend_bench(eps=c["eps"]),
-        help="add the backend-comparison section: large-n sweep and "
-             "sector workloads on the python vs numpy backends, "
-             "asserting value identity",
         fields={
             "algorithm": str,
             "n": int,
@@ -1583,9 +1386,9 @@ BENCH_SECTIONS: Tuple[BenchSection, ...] = (
         name="scenario_bench",
         runner=lambda c: _run_scenario_bench(eps=c["eps"], n=c["scenario_n"]),
         help="add the constraint-pipeline section: scalar-vs-vectorized "
-             "mask composition identity, constrained solve feasibility "
-             "across backends, and the <10% mask-compose overhead gate "
-             "asserted in-harness (docs/SCENARIOS.md)",
+             "mask composition identity, constrained solve feasibility, "
+             "and the <10% mask-compose overhead gate asserted "
+             "in-harness (docs/SCENARIOS.md)",
         fields={
             "n": int,
             "towns": int,
@@ -1599,6 +1402,8 @@ BENCH_SECTIONS: Tuple[BenchSection, ...] = (
             "constraints_s": float,
             "overhead_ratio": float,
         },
+        # Per-backend solve timings, recorded up to BENCH_pr10.
+        optional=frozenset({"rows"}),
         parts=(_SCENARIO_ROWS,),
         invariants=(
             ("sizes must be positive",
@@ -1612,6 +1417,11 @@ BENCH_SECTIONS: Tuple[BenchSection, ...] = (
         # composition reads as a metric drop.
         metrics=("compose_headroom=1/overhead_ratio",),
     ),
+)
+
+#: The sections ``run_bench`` can produce, each with a CLI flag.
+RUNNABLE_SECTIONS: Tuple[BenchSection, ...] = tuple(
+    s for s in BENCH_SECTIONS if s.runner is not None
 )
 
 #: The whole payload below its header: ``runs`` and ``summary`` are

@@ -110,7 +110,6 @@ def improve_solution(
     oracle: KnapsackSolver,
     max_rounds: int = 10,
     compiled: Optional["CompiledAngleInstance"] = None,
-    backend: str = "python",
 ) -> AngleSolution:
     """Monotone local search: returns a solution with value >= the input's.
 
@@ -119,8 +118,6 @@ def improve_solution(
     improvement.  ``compiled`` is the shared precomputation view (defaults
     to ``instance.compile()``); the re-rotation move derives its subset
     sweeps from it instead of re-sorting per candidate antenna.
-    ``backend`` selects the rotation-scan implementation of the
-    re-rotation move (see :func:`~repro.packing.single.best_rotation`).
     """
     compiled = instance.compile() if compiled is None else compiled
     orientations = solution.orientations.copy()
@@ -147,7 +144,6 @@ def improve_solution(
                 spec,
                 oracle,
                 sweep=compiled.subset_sweep(idx, spec.rho),
-                backend=backend,
             )
             current_j_value = float(instance.profits[assignment == j].sum())
             if out.value > current_j_value + 1e-12:

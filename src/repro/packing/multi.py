@@ -66,7 +66,6 @@ def solve_greedy_multi(
     adaptive: bool = False,
     antenna_order: Optional[Sequence[int]] = None,
     compiled: Optional["CompiledAngleInstance"] = None,
-    backend: str = "python",
 ) -> AngleSolution:
     """Greedy multi-antenna packing; ``beta/(1+beta)``-approximation.
 
@@ -86,10 +85,6 @@ def solve_greedy_multi(
         Shared precomputation view (defaults to ``instance.compile()``):
         the first round reuses its memoized full-instance sweeps and prefix
         sums, later rounds derive subset sweeps without re-sorting.
-    backend:
-        Rotation-scan implementation for every inner
-        :func:`~repro.packing.single.best_rotation` call (``"python"`` or
-        ``"numpy"``; value-identical — see ``docs/BACKENDS.md``).
     """
     n, k = instance.n, instance.k
     t0 = time.perf_counter()
@@ -118,7 +113,6 @@ def solve_greedy_multi(
                 sweep=compiled.sweep(spec.rho),
                 demand_prefix=compiled.demand_prefix,
                 profit_prefix=compiled.profit_prefix,
-                backend=backend,
             )
         else:
             out = best_rotation(
@@ -128,7 +122,6 @@ def solve_greedy_multi(
                 spec,
                 oracle,
                 sweep=compiled.subset_sweep(idx, spec.rho),
-                backend=backend,
             )
         return out, idx
 

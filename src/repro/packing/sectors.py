@@ -36,7 +36,6 @@ from repro.model.instance import AngleInstance, SectorInstance
 from repro.model.solution import SectorSolution
 from repro.obs import span as obs_span
 from repro.obs.metrics import get_registry
-from repro.core.backend import nearest_reaching_station
 from repro.packing.multi import solve_greedy_multi
 from repro.packing.single import best_rotation
 
@@ -217,7 +216,6 @@ def solve_sector_greedy(
     oracle: KnapsackSolver,
     adaptive: bool = True,
     compiled: Optional["CompiledSectorInstance"] = None,
-    backend: str = "python",
 ) -> SectorSolution:
     """Global greedy over every antenna of every station.
 
@@ -227,9 +225,7 @@ def solve_sector_greedy(
     order (k× fewer oracle calls, same guarantee).  ``compiled`` is the
     shared precomputation view (defaults to ``instance.compile()``); the
     per-round rotation searches derive their subset sweeps from its
-    per-station sorted angles instead of re-sorting.  ``backend="numpy"``
-    prewarms the station views with one batched polar pass and runs the
-    vectorized rotation scan (value-identical; see ``docs/BACKENDS.md``).
+    per-station sorted angles instead of re-sorting.
     """
     n = instance.n
     K = instance.total_antennas
@@ -238,7 +234,7 @@ def solve_sector_greedy(
     assignment = np.full(n, -1, dtype=np.int64)
     orientations = np.zeros(K, dtype=np.float64)
     remaining = np.ones(n, dtype=bool)
-    masks, thetas_per, _ = compiled.eligibility(backend=backend)
+    masks, thetas_per, _ = compiled.eligibility()
     table = instance.antenna_table()
 
     def run_rotation(g: int):
@@ -252,7 +248,6 @@ def solve_sector_greedy(
             spec,
             oracle,
             sweep=compiled.station(s_id).subset_sweep(idx, spec.rho),
-            backend=backend,
         )
         return out, idx
 
@@ -295,7 +290,6 @@ def solve_sector_independent(
     instance: SectorInstance,
     oracle: KnapsackSolver,
     compiled: Optional["CompiledSectorInstance"] = None,
-    backend: str = "python",
 ) -> SectorSolution:
     """Baseline: nearest-station partition, then independent 1-D solves.
 
@@ -303,10 +297,7 @@ def solve_sector_independent(
     radius reaches it (unreachable customers are dropped).  Stations then
     run the 1-D greedy multi solver on their private customers.  No
     cross-station arbitration — the measured gap to
-    :func:`solve_sector_greedy` is experiment E9's headline.
-    ``backend="numpy"`` builds the nearest-station partition with one
-    batched distance matrix (identical tie-breaking) and threads the
-    vectorized rotation scan into the per-station solves.  Constraint
+    :func:`solve_sector_greedy` is experiment E9's headline.  Constraint
     masks (``docs/SCENARIOS.md``) restrict the homing step: a customer is
     tied to its nearest *effective* station, never to one a constraint
     masks out.
@@ -321,23 +312,15 @@ def solve_sector_independent(
     max_radii = np.array(
         [st.max_radius for st in instance.stations], dtype=np.float64
     )
-    cmasks = compiled.constraint_masks(backend)
-    if backend == "numpy":
-        compiled.ensure_stations()
-        rs_all = np.stack(
-            [compiled.station(s).rs for s in range(instance.m)], axis=0
-        )
-        eligible = None if cmasks is None else np.stack(cmasks, axis=0)
-        home = nearest_reaching_station(rs_all, max_radii, eligible=eligible)
-    else:
-        dist = np.full((n, instance.m), np.inf)
-        for s_id in range(instance.m):
-            rs = compiled.station(s_id).rs
-            reach = rs <= max_radii[s_id] * (1.0 + 1e-12)
-            if cmasks is not None:
-                reach = reach & cmasks[s_id]
-            dist[reach, s_id] = rs[reach]
-        home = np.where(np.isfinite(dist.min(axis=1)), dist.argmin(axis=1), -1)
+    cmasks = compiled.constraint_masks()
+    dist = np.full((n, instance.m), np.inf)
+    for s_id in range(instance.m):
+        rs = compiled.station(s_id).rs
+        reach = rs <= max_radii[s_id] * (1.0 + 1e-12)
+        if cmasks is not None:
+            reach = reach & cmasks[s_id]
+        dist[reach, s_id] = rs[reach]
+    home = np.where(np.isfinite(dist.min(axis=1)), dist.argmin(axis=1), -1)
 
     # Global antenna id of each station's local antennas.
     g_of: dict = {}
@@ -363,7 +346,7 @@ def solve_sector_independent(
             profits=instance.profits[ok],
             antennas=st.antennas,
         )
-        sol = solve_greedy_multi(sub, oracle, backend=backend)
+        sol = solve_greedy_multi(sub, oracle)
         for local_j, g in enumerate(g_of[s_id]):
             orientations[g] = sol.orientations[local_j]
         served = sol.assignment >= 0
@@ -380,7 +363,6 @@ def improve_sector_solution(
     oracle: KnapsackSolver,
     max_rounds: int = 5,
     compiled: Optional["CompiledSectorInstance"] = None,
-    backend: str = "python",
 ) -> "SectorSolution":
     """Monotone local search on a 2-D solution (the sector analogue of
     :func:`repro.packing.local_search.improve_solution`).
@@ -389,13 +371,11 @@ def improve_sector_solution(
     customer not served by the *other* antennas (restricted to its own
     eligibility disk), and keep the better of old/new.  Value never
     decreases; terminates at a fixed point or after ``max_rounds`` passes.
-    ``backend`` selects the rotation-scan implementation of the re-rotation
-    move (see :func:`~repro.packing.single.best_rotation`).
     """
     assignment = solution.assignment.copy()
     orientations = solution.orientations.copy()
     compiled = instance.compile() if compiled is None else compiled
-    masks, thetas_per, _ = compiled.eligibility(backend=backend)
+    masks, thetas_per, _ = compiled.eligibility()
     table = instance.antenna_table()
     K = instance.total_antennas
 
@@ -414,7 +394,6 @@ def improve_sector_solution(
                 spec,
                 oracle,
                 sweep=compiled.station(s_id).subset_sweep(idx, spec.rho),
-                backend=backend,
             )
             current = float(instance.profits[assignment == g].sum())
             if out.value > current + 1e-12:

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.backend import rotation_scan
 from repro.geometry.sweep import CircularSweep
 from repro.knapsack.api import KnapsackSolver
 from repro.knapsack.fractional import solve_fractional
@@ -91,7 +90,6 @@ def best_rotation(
     sweep: Optional[CircularSweep] = None,
     demand_prefix: Optional[np.ndarray] = None,
     profit_prefix: Optional[np.ndarray] = None,
-    backend: str = "python",
 ) -> RotationOutcome:
     """Best orientation + packing of one antenna over the given customers.
 
@@ -107,14 +105,6 @@ def best_rotation(
     ``spec.rho``) and optionally the matching doubled prefix sums, skipping
     the per-call sort and cumulative sums.  Both paths produce bit-identical
     results.
-
-    ``backend="numpy"`` replaces the per-window python scan with one
-    vectorized :func:`repro.core.backend.rotation_scan` pass that seeds
-    the incumbent from the best everything-fits window and leaves only
-    the windows needing an oracle call.  Value-identical to the python
-    path (the oracle, pruning threshold, and fast path are shared); tie
-    selection and the visited/pruned work metrics may differ — see
-    ``docs/BACKENDS.md``.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     n = thetas.size
@@ -140,65 +130,33 @@ def best_rotation(
         best = RotationOutcome.empty()
         visited = 0
         fastpath = 0
-        if backend == "numpy":
-            # Vectorized seed-and-prune: one pass over all windows finds
-            # the best fully-fitting one and the shortlist of windows that
-            # could still beat it; only the shortlist reaches the oracle.
-            best_k, best_value, best_demand, hard_ids = rotation_scan(
-                ids, profit_sums, demand_sums, spec.capacity
-            )
-            if best_k >= 0:
-                w = sweep.window(best_k)
-                visited += 1
+        # Visit windows by decreasing profit potential.
+        ids = ids[np.argsort(-profit_sums[ids], kind="stable")]
+        for k in ids:
+            potential = float(profit_sums[k])
+            if potential <= best.value + 1e-15:
+                break  # no later window can beat the incumbent
+            visited += 1
+            w = sweep.window(int(k))
+            cov = w.indices
+            if fits(float(demand_sums[k]), spec.capacity):
+                # Everything fits: the window's full profit is achievable.
                 fastpath += 1
                 best = RotationOutcome(
                     alpha=w.start,
-                    selected=w.indices.copy(),
-                    value=best_value,
-                    demand=best_demand,
+                    selected=cov.copy(),
+                    value=potential,
+                    demand=float(demand_sums[k]),
                 )
-            for k in hard_ids:
-                if float(profit_sums[k]) <= best.value + 1e-15:
-                    break  # no later window can beat the incumbent
-                visited += 1
-                w = sweep.window(int(k))
-                cov = w.indices
-                res = oracle.solve(demands[cov], profits[cov], spec.capacity)
-                if res.value > best.value:
-                    best = RotationOutcome(
-                        alpha=w.start,
-                        selected=cov[res.selected],
-                        value=res.value,
-                        demand=res.weight,
-                    )
-        else:
-            # Visit windows by decreasing profit potential.
-            ids = ids[np.argsort(-profit_sums[ids], kind="stable")]
-            for k in ids:
-                potential = float(profit_sums[k])
-                if potential <= best.value + 1e-15:
-                    break  # no later window can beat the incumbent
-                visited += 1
-                w = sweep.window(int(k))
-                cov = w.indices
-                if fits(float(demand_sums[k]), spec.capacity):
-                    # Everything fits: the window's full profit is achievable.
-                    fastpath += 1
-                    best = RotationOutcome(
-                        alpha=w.start,
-                        selected=cov.copy(),
-                        value=potential,
-                        demand=float(demand_sums[k]),
-                    )
-                    continue
-                res = oracle.solve(demands[cov], profits[cov], spec.capacity)
-                if res.value > best.value:
-                    best = RotationOutcome(
-                        alpha=w.start,
-                        selected=cov[res.selected],
-                        value=res.value,
-                        demand=res.weight,
-                    )
+                continue
+            res = oracle.solve(demands[cov], profits[cov], spec.capacity)
+            if res.value > best.value:
+                best = RotationOutcome(
+                    alpha=w.start,
+                    selected=cov[res.selected],
+                    value=res.value,
+                    demand=res.weight,
+                )
         _ROT_SEARCHES.inc()
         _ROT_CANDIDATES.inc(candidates)
         _ROT_VISITED.inc(visited)
@@ -270,15 +228,12 @@ def solve_single_antenna(
     instance: AngleInstance,
     oracle: KnapsackSolver,
     compiled: Optional["CompiledAngleInstance"] = None,
-    backend: str = "python",
 ) -> AngleSolution:
     """Solve a ``k == 1`` instance with the given knapsack oracle.
 
     Raises ``ValueError`` when the instance has more than one antenna (use
     the multi-antenna solvers instead).  ``compiled`` is the optional
-    shared precomputation view (defaults to ``instance.compile()``);
-    ``backend`` selects the rotation-scan implementation (see
-    :func:`best_rotation`).
+    shared precomputation view (defaults to ``instance.compile()``).
     """
     if instance.k != 1:
         raise ValueError(f"solve_single_antenna needs k == 1, got k={instance.k}")
@@ -293,7 +248,6 @@ def solve_single_antenna(
         sweep=compiled.sweep(spec.rho),
         demand_prefix=compiled.demand_prefix,
         profit_prefix=compiled.profit_prefix,
-        backend=backend,
     )
     assignment = np.full(instance.n, -1, dtype=np.int64)
     assignment[out.selected] = 0

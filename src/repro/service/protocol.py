@@ -69,7 +69,7 @@ _ERROR_STATUS = {
 #: Envelope fields a ``solve`` request may carry besides ``op``/``id``.
 _SOLVE_FIELDS = frozenset(
     {"instance", "family", "algorithm", "eps", "seed", "timeout_s",
-     "guarantee", "variant", "backend", "partition", "use_cache", "label",
+     "guarantee", "variant", "partition", "use_cache", "label",
      "solution"}
 )
 
@@ -81,7 +81,7 @@ _EVENT_FIELDS = frozenset(
 #: ``resolve`` sub-spec fields (solve options minus instance/timeout).
 _RESOLVE_FIELDS = frozenset(
     {"family", "algorithm", "eps", "seed", "guarantee", "variant",
-     "backend", "partition", "use_cache", "label"}
+     "partition", "use_cache", "label"}
 )
 
 
@@ -166,7 +166,6 @@ def envelope_to_request(envelope: Dict[str, Any]) -> SolveRequest:
                 else float(envelope["guarantee"])
             ),
             variant=str(envelope.get("variant", "overlap")),
-            backend=str(envelope.get("backend", "auto")),
             partition=str(envelope.get("partition", "auto")),
             use_cache=bool(envelope.get("use_cache", True)),
             label=str(envelope.get("label", "")),

@@ -11,6 +11,7 @@ import pytest
 from repro.model import generators
 from repro.obs.bench import (
     BENCH_SECTIONS,
+    RUNNABLE_SECTIONS,
     SCHEMA_NAME,
     SCHEMA_VERSION,
     _run_supervised_bench,
@@ -166,13 +167,16 @@ class TestSectionFlags:
             parser.parse_args(["bench", "--help"])
         help_text = capsys.readouterr().out
         for flag in ("--cache-bench", "--service-bench", "--compile-bench",
-                     "--backend-bench", "--scale-bench", "--online-bench",
-                     "--scenario-bench"):
+                     "--scale-bench", "--online-bench", "--scenario-bench"):
             assert flag in help_text
+        # backend_bench stays declared (BENCH_pr6-pr10 validate) but has
+        # no runner, so it gets no flag.
+        assert "--backend-bench" not in help_text
         assert len(BENCH_SECTIONS) == 7
+        assert len(RUNNABLE_SECTIONS) == 6
         args = parser.parse_args(["bench", "--scale-bench"])
-        assert [s.name for s in BENCH_SECTIONS if getattr(args, s.name)] == [
-            "scale_bench"]
+        assert [s.name for s in RUNNABLE_SECTIONS
+                if getattr(args, s.name)] == ["scale_bench"]
 
 
 class TestSupervisedBench:
@@ -213,3 +217,39 @@ class TestSupervisedBench:
         monkeypatch.setattr(service, "start_in_thread", start_with_workers_down)
         with pytest.raises(RuntimeError, match="in-process fallback"):
             _run_supervised_bench(self.INSTANCES, algorithm="greedy", eps=0.5)
+
+
+class TestScenarioBench:
+    """The constraint-pipeline section after the backend knob's retirement."""
+
+    def test_small_run_validates_without_rows(self):
+        from repro.obs.bench import _run_scenario_bench
+
+        section = _run_scenario_bench(eps=0.5, n=1_000, towns=3,
+                                      identity_n=600, identity_towns=3,
+                                      repeats=1)
+        assert "rows" not in section
+        payload = copy.deepcopy(load_bench(str(ROOT / "BENCH_pr10.json")))
+        payload["scenario_bench"] = section
+        validate_bench(payload)
+
+    def test_mask_mismatch_raises(self, monkeypatch):
+        import repro.model.constraints as constraints
+        from repro.obs.bench import _run_scenario_bench
+
+        real = constraints._numpy_station_masks
+
+        def flipped(*args, **kwargs):
+            masks = real(*args, **kwargs)
+            if masks is not None:
+                masks[0] = ~masks[0]
+            return masks
+
+        monkeypatch.setattr(constraints, "_numpy_station_masks", flipped)
+        with pytest.raises(RuntimeError, match="diverge at station 0"):
+            _run_scenario_bench(eps=0.5, n=1_000, towns=3, identity_n=600,
+                                identity_towns=3, repeats=1)
+
+    def test_history_section_is_not_runnable(self):
+        with pytest.raises(ValueError, match="unknown bench section"):
+            run_bench(families=("uniform",), n=12, sections=("backend_bench",))

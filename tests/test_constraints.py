@@ -22,6 +22,7 @@ from repro.core.compiled import CompiledSectorInstance
 from repro.engine import SolveRequest, clear_caches, solve
 from repro.engine.cache import fingerprint
 from repro.engine.partition import partition_instance
+from repro.geometry.points import relative_polar
 from repro.model.antenna import AntennaSpec
 from repro.model.constraints import (
     CONSTRAINT_KINDS,
@@ -313,9 +314,8 @@ class TestCompiledIntegration:
         assert nontrivial_constraints(inst.constraints) == ()
 
     @pytest.mark.parametrize("algorithm", ["greedy", "independent", "greedy+ls"])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_reach_constraint_is_value_identical_to_unconstrained(
-        self, algorithm, backend
+        self, algorithm
     ):
         rng = np.random.default_rng(3)
         positions = np.vstack([
@@ -332,21 +332,26 @@ class TestCompiledIntegration:
             clear_caches()
             report = solve(SolveRequest(
                 instance=inst, family="sector", algorithm=algorithm,
-                eps=0.5, backend=backend, use_cache=False,
+                eps=0.5, use_cache=False,
             ))
             values.append(report.value)
         assert values[0] == values[1]
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_constrained_solves_respect_every_mask(self, backend):
+    @pytest.mark.parametrize("partition", ["never", "force"])
+    def test_constrained_solves_respect_every_mask(self, partition):
+        # Served pairs are checked against the scalar reference
+        # composition, not the compiled memo that verify() itself reads
+        # (that one comes from the vectorized kernels).
         inst = scenario_metro_blockage(n=400, towns=4, seed=2)
-        masks = inst.compile().constraint_masks()
+        rs = [relative_polar(inst.positions, np.asarray(st.position))[1]
+              for st in inst.stations]
+        masks = compose_station_masks(inst, rs, backend="python")
         assert masks is not None
         for algorithm in ("greedy", "independent"):
             clear_caches()
             report = solve(SolveRequest(
                 instance=inst, family="sector", algorithm=algorithm,
-                eps=0.1, backend=backend, use_cache=False,
+                eps=0.1, partition=partition, use_cache=False,
             ))
             solution = report.solution.verify(inst)
             for g, s_id, _spec in inst.antenna_table():

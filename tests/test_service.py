@@ -72,6 +72,19 @@ class TestProtocol:
         assert err.value.status == STATUS_USAGE
         assert "algorthm" in str(err.value)
 
+    @pytest.mark.parametrize("parse,envelope", [
+        (protocol.envelope_to_request, {"instance": {}, "backend": "numpy"}),
+        (protocol.envelope_to_event,
+         {"op": "event", "session": "s", "resolve": {"backend": "numpy"}}),
+    ], ids=["solve", "resolve"])
+    def test_backend_field_is_unknown(self, parse, envelope):
+        # The backend knob is retired: the field is no longer part of the
+        # wire grammar, so it gets the unknown-field usage status.
+        with pytest.raises(ProtocolError) as err:
+            parse(envelope)
+        assert err.value.status == STATUS_USAGE
+        assert "backend" in str(err.value)
+
     def test_missing_instance_is_usage(self):
         with pytest.raises(ProtocolError) as err:
             protocol.envelope_to_request({"op": "solve"})
