@@ -121,8 +121,9 @@ def test_e15_delta_answers_events_faster():
 
     delta_s = min(delta_pass() for _ in range(3))
     offline_s = min(offline_pass() for _ in range(3))
-    # The bench gate (obs/bench.py) demands 5x at n >= 1e4; here we only
-    # pin the direction so the experiment stays robust on loaded CI boxes.
+    # The slow test tests/test_online_delta.py::TestTimingGate demands 5x
+    # at n = 3e4; here we only pin the direction so the experiment stays
+    # robust on loaded CI boxes.
     assert delta_s < offline_s
 
 

@@ -5,7 +5,7 @@ Run from the repo root (``scripts/smoke.sh`` does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Eight checks, all hard failures:
+Seven checks, all hard failures:
 
 1. **Docstring coverage** — every public module under ``repro`` and every
    public top-level class/function in it carries a docstring (100%, no
@@ -16,8 +16,8 @@ Eight checks, all hard failures:
    string literal in ``src/`` (covers metrics minted at runtime, e.g.
    per-oracle-kind breakdowns).
 3. **CLI flags** — every ``--flag`` mentioned in the docs is accepted by
-   the ``repro-sectors`` parser tree (any subcommand) or the
-   ``scripts/bench_compare.py`` parser.
+   the ``repro-sectors`` parser tree (any subcommand) or the repository
+   benchmark's ``perfbench/run.py`` parser.
 4. **Relative links** — every relative markdown link target exists on
    disk.
 5. **Registry coverage** — every solver registered in the engine
@@ -32,11 +32,6 @@ Eight checks, all hard failures:
    ``repro.model.constraints.CONSTRAINT_KINDS`` is documented (as a
    ``code span``) in ``docs/SCENARIOS.md``, so the constraint grammar
    there can never silently fall behind the wire registry.
-8. **Bench fields** — every field (and nested part) of every section
-   declared in ``repro.obs.bench.PAYLOAD`` is documented (as a ``code
-   span``, optionally ``rows[].``-prefixed) in ``docs/OBSERVABILITY.md``,
-   so the field tables there can never silently fall behind the schema
-   ``validate_bench`` enforces.
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
@@ -138,7 +133,7 @@ def check_metric_names(problems: list) -> int:
 
 
 def known_cli_flags() -> set:
-    """Every option string across the repro CLI tree + bench_compare."""
+    """Every option string across the repro CLI tree + perfbench/run.py."""
     from repro.cli import build_parser
 
     flags = set(FLAG_ALLOWLIST)
@@ -151,7 +146,7 @@ def known_cli_flags() -> set:
                     walk(sub)
 
     walk(build_parser())
-    script = ROOT / "scripts" / "bench_compare.py"
+    script = ROOT / "perfbench" / "run.py"
     for match in re.findall(r"add_argument\(\s*[\"'](--[\w-]+)",
                             script.read_text(encoding="utf-8")):
         flags.add(match)
@@ -283,27 +278,6 @@ def check_constraint_docs(problems: list) -> int:
     return checked
 
 
-def check_bench_fields(problems: list) -> int:
-    """Every declared bench-section field must appear in OBSERVABILITY.md."""
-    from repro.obs.bench import PAYLOAD
-
-    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    checked = 0
-    pending = [PAYLOAD]
-    while pending:
-        section = pending.pop()
-        pending.extend(section.parts)
-        for name in list(section.fields) + [p.name for p in section.parts]:
-            checked += 1
-            if f"`{name}`" not in text and f"`rows[].{name}`" not in text:
-                problems.append(
-                    f"bench-field: {section.name or 'payload'} declares "
-                    f"{name!r} but `{name}` never appears in "
-                    f"docs/OBSERVABILITY.md"
-                )
-    return checked
-
-
 def main() -> int:
     problems: list = []
     symbols = check_docstrings(problems)
@@ -313,14 +287,13 @@ def main() -> int:
     solvers = check_registry_docs(problems)
     ops = check_wire_ops(problems)
     kinds = check_constraint_docs(problems)
-    fields = check_bench_fields(problems)
     for p in problems:
         print(p, file=sys.stderr)
     print(
         f"check_docs: {symbols} public symbols, {metrics} metric mentions, "
         f"{flags} flag mentions, {links} links checked, "
         f"{solvers} registered solvers checked, {ops} wire ops checked, "
-        f"{kinds} constraint kinds checked, {fields} bench fields checked, "
+        f"{kinds} constraint kinds checked, "
         f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0

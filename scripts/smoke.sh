@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Smoke check: tier-1 test suite + one tiny bench round-trip + resilience.
+# Smoke check: tier-1 test suite, slow scale/timing gates, lints, and the
+# CLI end to end (resilience, service, chaos).
 #
 # Run from anywhere:  scripts/smoke.sh
-# The bench half exercises the full observability stack (metrics registry,
-# solver instrumentation, payload emission) and validates the emitted JSON
-# against the frozen repro.bench schema (docs/OBSERVABILITY.md).  The
-# resilience half drives the deadline/fallback paths end to end through
-# the CLI (docs/RESILIENCE.md).
+# The resilience half drives the deadline/fallback paths end to end through
+# the CLI (docs/RESILIENCE.md).  Performance is measured by the repository
+# benchmark instead (perfbench/README.md).
 
 set -euo pipefail
 
@@ -16,11 +15,15 @@ export PYTHONPATH=src
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== slow marker (one scale case) =="
-# Tier-1 deselects `slow` (pyproject addopts); the smoke runs exactly one
-# marked scale case so the n >= 1e5 partition path stays exercised in CI.
+echo "== slow marker (one scale case, two timing gates) =="
+# Tier-1 deselects `slow` (pyproject addopts); the smoke runs one marked
+# scale case so the n >= 1e5 partition path stays exercised in CI, plus the
+# delta-apply (>= 5x recompile) and constraint-compose (< 10% of compile)
+# timing gates.
 python -m pytest -x -q -m slow -o addopts="" \
-    tests/test_partition.py::TestScale::test_partitioned_matches_monolithic_at_scale
+    tests/test_partition.py::TestScale::test_partitioned_matches_monolithic_at_scale \
+    tests/test_online_delta.py::TestTimingGate \
+    tests/test_constraints.py::TestComposeOverheadGate
 
 echo "== docs lint =="
 # 100% public docstring coverage; every metric name, CLI flag and relative
@@ -53,109 +56,6 @@ PY
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== bench round-trip =="
-out="$tmp/BENCH_smoke.json"
-python -m repro bench --families uniform --n 50 --seeds 0 \
-    --solvers greedy,shifting --tag smoke --output "$out"
-python -m repro bench --check "$out"
-
-echo "== scale bench round-trip =="
-# Small-n partition-strategy smoke: exercises the monolithic-vs-partitioned
-# section (merge-bound soundness is asserted inside the harness; a
-# violation aborts the bench) and validates the payload with the section
-# present.  Sizes stay tiny here — the full curves live in BENCH_pr8.json.
-scale_out="$tmp/BENCH_scale_smoke.json"
-python - "$scale_out" <<'PY'
-import sys
-
-from repro.obs.bench import run_bench, write_bench
-
-payload = run_bench(
-    families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="scale-smoke", sections=("scale_bench",), scale_sizes=(2_000, 5_000),
-)
-write_bench(payload, sys.argv[1])
-PY
-python -m repro bench --check "$scale_out"
-
-echo "== online bench round-trip =="
-# Small-n delta-apply smoke: exercises the online_bench section (per-event
-# value identity and per-sector invalidation are asserted inside the
-# harness; the 5x speedup gate only arms at n >= 1e4, so this stays below
-# it) and validates the payload with the section present.
-online_out="$tmp/BENCH_online_smoke.json"
-python - "$online_out" <<'PY'
-import sys
-
-from repro.obs.bench import run_bench, write_bench
-
-payload = run_bench(
-    families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="online-smoke", sections=("online_bench",), online_n=1_500,
-    online_events=24,
-)
-write_bench(payload, sys.argv[1])
-PY
-python -m repro bench --check "$online_out"
-
-echo "== scenario bench round-trip =="
-# Small-n constraint-pipeline smoke: exercises the scenario_bench section
-# (scalar-vs-vectorized mask composition identity and constrained solve
-# feasibility are asserted inside the harness; the <10% compose-overhead
-# gate only arms at n >= 5e4, so this stays below it) and validates the
-# payload with the section present.
-scenario_out="$tmp/BENCH_scenario_smoke.json"
-python - "$scenario_out" <<'PY'
-import sys
-
-from repro.obs.bench import run_bench, write_bench
-
-payload = run_bench(
-    families=("uniform",), n=50, seeds=(0,), solvers=("greedy",),
-    tag="scenario-smoke", sections=("scenario_bench",), scenario_n=2_000,
-)
-write_bench(payload, sys.argv[1])
-PY
-python -m repro bench --check "$scenario_out"
-
-echo "== bench comparison (advisory) =="
-# Throughput diff between the two most recent committed payloads.  Wall
-# times from different machines/sessions are noisy, so a regression here
-# warns without failing the smoke (see scripts/bench_compare.py).
-if [ -f BENCH_pr9.json ] && [ -f BENCH_pr10.json ]; then
-    python scripts/bench_compare.py BENCH_pr9.json BENCH_pr10.json ||
-        echo "bench_compare: advisory throughput regression (not fatal)"
-fi
-
-echo "== bench comparison (enforced: backend_bench, service_bench, scale_bench, online_bench, scenario_bench) =="
-# Sections the smoke *enforces*: the committed payload must carry them,
-# and once a baseline payload has them too, >20% regressions in their
-# metrics fail the smoke (no advisory fallback here — see
-# scripts/bench_compare.py --enforce).  backend_bench stays pinned to
-# the pr5->pr6 pair that introduced it; service_bench to pr6->pr7;
-# scale_bench to pr8->pr9; online_bench to pr9->pr10; scenario_bench is
-# enforced from pr10 on (guarded until BENCH_pr11 exists).
-if [ -f BENCH_pr6.json ]; then
-    python scripts/bench_compare.py BENCH_pr5.json BENCH_pr6.json \
-        --enforce backend_bench
-fi
-if [ -f BENCH_pr7.json ]; then
-    python scripts/bench_compare.py BENCH_pr6.json BENCH_pr7.json \
-        --enforce service_bench
-fi
-if [ -f BENCH_pr9.json ]; then
-    python scripts/bench_compare.py BENCH_pr8.json BENCH_pr9.json \
-        --enforce scale_bench
-fi
-if [ -f BENCH_pr10.json ]; then
-    python scripts/bench_compare.py BENCH_pr9.json BENCH_pr10.json \
-        --enforce online_bench
-fi
-if [ -f BENCH_pr11.json ]; then
-    python scripts/bench_compare.py BENCH_pr10.json BENCH_pr11.json \
-        --enforce scenario_bench
-fi
-
 echo "== resilience smoke =="
 inst="$tmp/inst.json"
 python -m repro generate clustered "$inst" --seed 3 --params '{"n": 40, "k": 3}'
@@ -168,11 +68,8 @@ python -m repro solve "$inst" --algorithm greedy --timeout 0 2>/dev/null || code
 if [ "$code" -ne 4 ]; then
     echo "expected exit 4 from an expired deadline, got $code" >&2; exit 1
 fi
-# Bench including the exact solver, bounded per-solve by --timeout.
-python -m repro bench --families uniform --n 30 --seeds 0 \
-    --solvers greedy,exact --timeout 1.0 --tag smoke-resilience \
-    --output "$tmp/BENCH_resilience.json"
-python -m repro bench --check "$tmp/BENCH_resilience.json"
+# The anytime exact solver, bounded by --timeout: returns its incumbent.
+python -m repro solve "$inst" --algorithm exact-anytime --timeout 1.0
 
 echo "== service smoke =="
 # Serve on a unix socket, solve through the client, drain on SIGTERM

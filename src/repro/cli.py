@@ -17,10 +17,6 @@ Subcommands
     Print instance statistics and an ASCII rendering.
 ``report``
     Regenerate the compact evaluation report (EXPERIMENTS.md headline rows).
-``bench``
-    Run the observability bench harness and write a schema-versioned
-    ``BENCH_<tag>.json`` (see docs/OBSERVABILITY.md), or validate one
-    with ``--check``.
 ``families``
     List the registered instance families and solver names.
 ``serve``
@@ -54,14 +50,8 @@ from repro.engine import SolveRequest
 from repro.engine import solve as engine_solve
 from repro.engine import solver_names, specs
 from repro.model import generators as gen
-from repro.model.instance import AngleInstance, SectorInstance
-from repro.model.serialization import (
-    instance_from_dict,
-    load_instance,
-    save_instance,
-    solution_to_dict,
-)
-from repro.obs.bench import RUNNABLE_SECTIONS, load_bench, run_bench, write_bench
+from repro.model.instance import AngleInstance
+from repro.model.serialization import load_instance, save_instance, solution_to_dict
 from repro.packing.bounds import combined_upper_bound
 
 #: CLI exit codes (documented in the module docstring / docs/RESILIENCE.md).
@@ -313,54 +303,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench``: run the bench suite / validate an existing payload."""
-    if args.check:
-        try:
-            payload = load_bench(args.check)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"{args.check}: {exc}", file=sys.stderr)
-            return 2
-        print(f"{args.check}: valid repro.bench v{payload['schema_version']} "
-              f"({len(payload['runs'])} runs)")
-        return 0
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    solvers = None
-    if args.solvers:
-        solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    try:
-        payload = run_bench(
-            families=families,
-            n=args.n,
-            k=args.k,
-            seeds=seeds,
-            solvers=solvers,
-            eps=args.eps,
-            tag=args.tag,
-            timeout_s=args.timeout,
-            sections=[s.name for s in RUNNABLE_SECTIONS if getattr(args, s.name)],
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    output = args.output or f"BENCH_{args.tag}.json"
-    write_bench(payload, output)
-    rows = [
-        [solver, s["runs"], s["total_wall_time_s"], s["mean_ratio_vs_bound"],
-         s["min_ratio_vs_bound"], s["peak_oracle_calls"]]
-        for solver, s in sorted(payload["summary"].items())
-    ]
-    print(
-        format_table(
-            ["solver", "runs", "seconds", "mean ratio", "min ratio", "peak oracle"],
-            rows,
-            title=f"bench -> {output}",
-        )
-    )
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: run the solver service until a signal drains it."""
     from repro.service.server import run_service
@@ -596,31 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--quick", action="store_true",
                      help="skip the exact-solver experiments")
     rep.set_defaults(fn=cmd_report)
-
-    b = sub.add_parser("bench", help="run the bench harness, write BENCH_<tag>.json")
-    b.add_argument("--families", default="uniform,clustered,hotspot",
-                   help="comma-separated instance families (angle or sector)")
-    b.add_argument("--n", type=int, default=60, help="customers per instance")
-    b.add_argument("--k", type=int, default=3, help="antennas per angle instance")
-    b.add_argument("--seeds", default="0", help="comma-separated seeds")
-    b.add_argument("--solvers",
-                   help="comma-separated solver subset (default: all applicable)")
-    b.add_argument("--eps", type=float, default=0.5,
-                   help="< 1 uses the FPTAS oracle at this eps; 1 = exact oracle "
-                        "(exact can blow up on continuous-weight families)")
-    b.add_argument("--timeout", type=float, metavar="SECONDS",
-                   help="per-solve budget; also enables the budget-bounded "
-                        "anytime exact solver as a bench entry")
-    for section in RUNNABLE_SECTIONS:
-        b.add_argument(f"--{section.name.replace('_', '-')}",
-                       action="store_true",
-                       # argparse %-formats help text ("<10%" in scenario_bench)
-                       help=section.help.replace("%", "%%"))
-    b.add_argument("--tag", default="pr1", help="tag baked into the payload/filename")
-    b.add_argument("--output", help="output path (default BENCH_<tag>.json)")
-    b.add_argument("--check", metavar="PATH",
-                   help="validate an existing bench JSON instead of running")
-    b.set_defaults(fn=cmd_bench)
 
     f = sub.add_parser("families", help="list families and algorithms")
     f.set_defaults(fn=cmd_families)

@@ -55,8 +55,8 @@ _COMPILE_TIMER = _REG.timer("phase.compile")
 # Eligibility timer predates the compiled layer (moved here from
 # packing/sectors.py so the metric name survives the refactor).
 _ELIG_TIMER = _REG.timer("phase.sector.eligibility")
-# Wall time composing constraint masks (docs/SCENARIOS.md pipeline); the
-# scenario_bench section gates this against phase.compile (<10%).
+# Wall time composing constraint masks (docs/SCENARIOS.md pipeline); a
+# slow test gates this at <10% of the unconstrained compile.
 _CONSTRAINT_TIMER = _REG.timer("phase.sector.constraints")
 
 #: Distinguishes "not composed yet" from the composed-to-``None`` result
@@ -352,13 +352,14 @@ class CompiledSectorInstance(CompiledInstance):
         :func:`repro.model.constraints.compose_station_masks`, fed with
         the compiled stations' ``rs`` arrays (all built by one
         :meth:`ensure_stations` pass).  The masks are bit-identical to
-        the scalar reference (``backend="python"``), which tests and
-        ``scenario_bench`` compare against.  Unconstrained instances pay
+        the scalar reference (``backend="python"``), which the tests
+        compare against.  Unconstrained instances pay
         one attribute check and memoize ``None`` — the pre-pipeline fast
         path.
 
-        Timed under ``phase.sector.constraints``; the ``scenario_bench``
-        section gates this phase at <10% of ``phase.compile``.
+        Timed under ``phase.sector.constraints``; the ``slow`` test
+        ``tests/test_constraints.py::TestComposeOverheadGate`` keeps this
+        phase under 10% of the unconstrained ``eligibility()`` compile.
         """
         with self._lock:
             cached = self._constraint_masks

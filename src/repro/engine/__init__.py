@@ -4,7 +4,7 @@ Public surface (contract: ``docs/ENGINE.md``):
 
 * :class:`~repro.engine.registry.SolverSpec` / :func:`register` /
   :func:`get_spec` / :func:`specs` / :func:`solver_names` — the single
-  declarative solver table every consumer (CLI, bench, fallback chains,
+  declarative solver table every consumer (CLI, fallback chains,
   analysis harness) derives from;
 * :class:`~repro.engine.core.SolveRequest` /
   :class:`~repro.engine.core.SolveReport` / :func:`solve` /

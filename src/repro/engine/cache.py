@@ -222,7 +222,7 @@ def shared_compiled(instance):
     batch duplicates, JSON round-trips, service aliases.  The view is
     built fresh on a miss (never lifted from the object memo), so
     :func:`clear_caches` makes subsequent compiles genuinely cold — the
-    property the benchmark's cold/shared comparison relies on.
+    property every cold/shared comparison relies on.
     """
     # Imported lazily: repro.packing modules import this module at import
     # time, and repro.core sits below them in the layering.

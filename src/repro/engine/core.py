@@ -1,7 +1,7 @@
 """The solve engine: uniform request/report envelope over every solver.
 
 One entry point — :func:`solve` — replaces the per-call-site wiring that
-used to live in ``cli.py``, ``obs/bench.py`` and
+used to live in ``cli.py``, a since-deleted bench harness and
 ``resilience/fallbacks.py``:
 
 * **request** (:class:`SolveRequest`): instance + family + algorithm

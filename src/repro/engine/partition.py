@@ -38,8 +38,9 @@ capacities_p)`` certifies ``OPT_p <= UB_p``; because the decomposition is
 exact, ``OPT = Σ_p OPT_p <= Σ_p UB_p``.  The *certified merge bound*
 reported with every partitioned solve is ``merge_bound = Σ_p UB_p -
 V_part >= 0``, and for any monolithic solve value ``V_mono <= OPT`` it
-guarantees ``V_mono <= V_part + merge_bound`` — the inequality the scale
-bench and the property tests assert.
+guarantees ``V_mono <= V_part + merge_bound`` — the inequality
+``tests/test_partition.py`` asserts (tier-1 sizes and the ``slow``
+``TestScale`` cases).
 
 **Views, not copies.**  The partitioner permutes the parent
 struct-of-arrays once so each component's customers are contiguous; the

@@ -1,10 +1,9 @@
 """Solver registry: one declarative table for every solver family.
 
-Before this layer the repo kept three private dispatch tables in sync by
-hand — ``cli.py`` (``ANGLE_ALGORITHMS``/``SECTOR_ALGORITHMS`` + if-chains),
-``obs/bench.py`` (``_angle_solver_table``/``_sector_solver_table``) and
-``resilience/fallbacks.py`` (hard-wired chain closures).  The registry
-replaces all three: a :class:`SolverSpec` declares *what* a solver is
+Before this layer the repo kept private dispatch tables in sync by
+hand — ``cli.py`` (``ANGLE_ALGORITHMS``/``SECTOR_ALGORITHMS`` + if-chains)
+and ``resilience/fallbacks.py`` (hard-wired chain closures), among
+others.  The registry replaces them: a :class:`SolverSpec` declares *what* a solver is
 (family, variant, exactness, guarantee, complexity class, applicability)
 and *how* to run it (a ``run(instance, ctx)`` callable threading the
 shared oracle/eps/seed context), and every consumer derives its table

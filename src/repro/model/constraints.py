@@ -51,8 +51,7 @@ and duplicate constraints are idempotent.  The scalar composition path
 here is the **reference**; the vectorized kernels in
 :mod:`repro.core.backend`, which the compiled core always composes with,
 are bit-identical to it (elementwise IEEE
-expressions, stable sorts — asserted by ``tests/test_constraints.py``
-and in-harness by the ``scenario_bench`` section of ``repro.obs.bench``).
+expressions, stable sorts — asserted by ``tests/test_constraints.py``).
 """
 
 from __future__ import annotations
@@ -439,7 +438,7 @@ def compose_station_masks(
     kernels of :mod:`repro.core.backend` — the path
     :meth:`~repro.core.compiled.CompiledSectorInstance.constraint_masks`
     runs.  ``backend="python"`` is the scalar reference; the two are
-    bit-identical (asserted by tests and by ``scenario_bench``).
+    bit-identical (asserted by ``tests/test_constraints.py``).
     """
     active = nontrivial_constraints(getattr(instance, "constraints", ()))
     if not active:

@@ -1,6 +1,6 @@
-"""repro.obs — observability: structured tracing, metrics, bench harness.
+"""repro.obs — observability: structured tracing and metrics.
 
-Three layers, one contract (``docs/OBSERVABILITY.md``):
+Two layers, one contract (``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.trace` — opt-in structured spans with a thread-safe
   buffer and a JSONL sink; near-zero overhead while disabled.
@@ -10,9 +10,10 @@ Three layers, one contract (``docs/OBSERVABILITY.md``):
   the instrumented hot paths (knapsack oracles, the circular sweep, every
   packing solver) report oracle-call counts, candidate-window counts, and
   per-phase wall time through it.
-* :mod:`repro.obs.bench` — the ``repro-sectors bench`` harness: runs the
-  solver suite over generator families and emits the schema-versioned
-  ``BENCH_<tag>.json`` regression baseline.
+
+:mod:`repro.obs.bench` holds only the cheap proven upper bound that the
+repository benchmark (``perfbench/``) divides by for serve-burst's
+``quality_ratio``.
 
 >>> from repro.obs import get_registry, span
 >>> reg = get_registry(); reg.reset()

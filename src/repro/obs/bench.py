@@ -1,95 +1,15 @@
-"""The regression-bench harness behind ``repro-sectors bench``.
+"""A cheap proven upper bound on the optimum of any instance.
 
-Runs the standard solver suite over registered generator families with the
-metrics registry reset around every solve, and emits a schema-versioned
-payload (``BENCH_<tag>.json``) that every future performance PR diffs
-against.  The payload schema is **frozen** and documented field-by-field in
-``docs/OBSERVABILITY.md``; :func:`validate_bench` enforces it (and is what
-``scripts/smoke.sh`` and the CLI ``--check`` flag run).
-
-The headline numbers per (family, n, k, seed, solver) run:
-
-* ``wall_time_s``   — one solve, wall clock;
-* ``value`` / ``upper_bound`` / ``ratio_vs_bound`` — measured quality
-  against the *proven* cheap bound (``combined_upper_bound`` for angle
-  instances, the capacity/density bound for sector instances), so ratios
-  are certified lower bounds on the true approximation ratio;
-* ``oracle_calls`` / ``candidate_windows`` — the oracle-pressure metrics
-  from :mod:`repro.obs.metrics`;
-* ``phases`` — per-phase wall time (every ``phase.*`` timer's total).
+:func:`_upper_bound` is ``combined_upper_bound`` for angle instances and
+the capacity/density bound for sector instances.  The repository
+benchmark's ``serve-burst`` workload (``perfbench/``) reports
+``quality_ratio`` as the returned values divided by this bound, so the
+ratio is a certified lower bound on the true approximation ratio.
 """
 
 from __future__ import annotations
 
-import inspect
-import json
-import platform
-import sys
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.model import generators as gen
 from repro.model.instance import AngleInstance
-from repro.obs.metrics import get_registry
-
-#: Frozen schema identifier; bump the version on any breaking field change.
-SCHEMA_NAME = "repro.bench"
-SCHEMA_VERSION = 1
-
-#: Solvers the default suite runs on angle instances (bench names).
-DEFAULT_ANGLE_SOLVERS = ("greedy", "adaptive", "shifting", "dp-disjoint")
-
-#: Solvers the default suite runs on sector instances.
-DEFAULT_SECTOR_SOLVERS = ("sector-greedy", "sector-independent")
-
-#: Families the default suite sweeps.
-DEFAULT_FAMILIES = ("uniform", "clustered", "hotspot")
-
-
-def _bench_name_table() -> Dict[str, Tuple[str, str]]:
-    """Bench solver name -> engine ``(family, algorithm)``.
-
-    Derived from the engine registry (the bench no longer owns a solver
-    table).  Historical bench names are preserved: sector solvers carry a
-    ``sector-`` prefix, and ``exact`` is the budget-bounded anytime exact
-    solver — the only exact variant that can sit in a timing table next to
-    the polynomial solvers without hanging.  Fractional-variant solvers
-    are excluded: their values answer a different (relaxed) objective, so
-    ``ratio_vs_bound`` would not be comparable.
-    """
-    from repro.engine import specs
-
-    table: Dict[str, Tuple[str, str]] = {"exact": ("angle", "exact-anytime")}
-    for spec in specs("angle"):
-        if spec.complexity == "poly" and spec.variant != "fractional":
-            table[spec.name] = ("angle", spec.name)
-    for spec in specs("sector"):
-        if spec.complexity == "poly":
-            table[f"sector-{spec.name}"] = ("sector", spec.name)
-    return table
-
-
-def _make_instance(family: str, n: int, k: int, seed: int):
-    """Build one instance, passing only the kwargs the generator accepts."""
-    if family in gen.ANGLE_FAMILIES:
-        factory = gen.ANGLE_FAMILIES[family]
-    elif family in gen.SECTOR_FAMILIES:
-        factory = gen.SECTOR_FAMILIES[family]
-    else:
-        raise ValueError(
-            f"unknown family {family!r}; available: "
-            f"{sorted(gen.ANGLE_FAMILIES) + sorted(gen.SECTOR_FAMILIES)}"
-        )
-    params = inspect.signature(factory).parameters
-    kwargs = {"seed": seed}
-    if "n" in params:
-        kwargs["n"] = n
-    if "k" in params:
-        kwargs["k"] = k
-    return factory(**kwargs)
 
 
 def _upper_bound(instance) -> float:
@@ -107,1421 +27,3 @@ def _upper_bound(instance) -> float:
         sum(spec.capacity for _, _, spec in instance.antenna_table())
     )
     return min(float(instance.total_profit), density * cap_total)
-
-
-def _phase_totals(snapshot: Dict[str, dict]) -> Dict[str, float]:
-    """Extract ``phase.* -> total seconds`` from a registry snapshot."""
-    return {
-        name[len("phase."):]: payload["total_s"]
-        for name, payload in snapshot.items()
-        if name.startswith("phase.") and payload["type"] == "timer"
-    }
-
-
-def run_bench(
-    families: Sequence[str] = DEFAULT_FAMILIES,
-    n: int = 60,
-    k: int = 3,
-    seeds: Sequence[int] = (0,),
-    solvers: Optional[Sequence[str]] = None,
-    eps: float = 0.5,
-    tag: str = "pr1",
-    timeout_s: Optional[float] = None,
-    sections: Sequence[str] = (),
-    scale_sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
-    online_n: int = 30_000,
-    online_events: int = 90,
-    scenario_n: int = 60_000,
-) -> dict:
-    """Run the suite and return the schema-versioned bench payload.
-
-    Every solve routes through the unified engine
-    (:func:`repro.engine.solve`) with the result cache disabled and the
-    shared-precompute cache cleared per run, so every timing is a *cold*
-    solve and the numbers stay comparable across PRs.
-
-    ``solvers=None`` picks the default suite per instance kind; an
-    explicit list is validated against the registry-derived bench names.
-    ``eps < 1`` switches the knapsack oracle from exact to the FPTAS at
-    that ``eps``; the default is the FPTAS at ``eps=0.5`` because the
-    exact oracle's branch-and-bound can explode on continuous-weight
-    families at bench sizes.
-
-    ``timeout_s`` bounds the ``exact`` entry — the anytime exact search,
-    which is only benchable *because* it is bounded (default 1s).
-
-    ``sections`` names the additive payload sections to append, from
-    :data:`RUNNABLE_SECTIONS` (``"cache_bench"``, ``"service_bench"``,
-    ``"compile_bench"``, ``"scale_bench"``, ``"online_bench"``,
-    ``"scenario_bench"``).  Schema stays v1: each is
-    validated only when present, and its runner's docstring describes
-    what it measures and which invariants it asserts in-harness (a
-    violation raises instead of recording).  ``scale_sizes`` sets the
-    ``scale_bench`` sizes; ``online_n`` / ``online_events`` the
-    ``online_bench`` stream; ``scenario_n`` the ``scenario_bench``
-    overhead-gate size (the gate arms at ``scenario_n >= 5 * 10**4``).
-    """
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-
-    if not families:
-        raise ValueError("no families given")
-    runnable = [s.name for s in RUNNABLE_SECTIONS]
-    unknown_sections = sorted(set(sections) - set(runnable))
-    if unknown_sections:
-        raise ValueError(
-            f"unknown bench section(s) {unknown_sections}; available: "
-            f"{runnable}"
-        )
-    name_table = _bench_name_table()
-    if solvers is not None:
-        unknown = sorted(set(solvers) - set(name_table))
-        if unknown:
-            raise ValueError(
-                f"unknown solver(s) {unknown}; available: {sorted(name_table)}"
-            )
-
-    registry = get_registry()
-    runs: List[dict] = []
-    last_angle_instance = None
-    for family in families:
-        for seed in seeds:
-            instance = _make_instance(family, n=n, k=k, seed=int(seed))
-            is_angle = isinstance(instance, AngleInstance)
-            if is_angle:
-                last_angle_instance = instance
-            if solvers is None:
-                names: Tuple[str, ...] = (
-                    DEFAULT_ANGLE_SOLVERS if is_angle else DEFAULT_SECTOR_SOLVERS
-                )
-            else:
-                kind = "angle" if is_angle else "sector"
-                names = tuple(
-                    s for s in solvers if name_table[s][0] == kind
-                )
-            ub = _upper_bound(instance)
-            kk = instance.k if is_angle else instance.total_antennas
-            for name in names:
-                spec_family, algorithm = name_table[name]
-                request = SolveRequest(
-                    instance=instance,
-                    family=spec_family,
-                    algorithm=algorithm,
-                    eps=eps,
-                    use_cache=False,
-                    # Only the anytime exact solver runs under a deadline;
-                    # the polynomial solvers are benched unbounded, as the
-                    # pre-engine harness did.
-                    timeout_s=(
-                        (timeout_s if timeout_s is not None else 1.0)
-                        if algorithm == "exact-anytime"
-                        else None
-                    ),
-                )
-                clear_caches()  # cold precompute: timings comparable across PRs
-                registry.reset()
-                report = engine_solve(request)
-                snap = registry.snapshot()
-                value = report.value
-                oracle_calls = snap.get("oracle.calls", {}).get("value", 0)
-                windows = snap.get("rotation.candidate_windows", {}).get("value", 0)
-                runs.append(
-                    {
-                        "family": family,
-                        "kind": "angle" if is_angle else "sector",
-                        "n": int(instance.n),
-                        "k": int(kk),
-                        "seed": int(seed),
-                        "solver": name,
-                        "wall_time_s": float(report.seconds),
-                        "value": value,
-                        "upper_bound": float(ub),
-                        "ratio_vs_bound": float(value / ub) if ub > 0 else 1.0,
-                        "oracle_calls": int(oracle_calls),
-                        "candidate_windows": int(windows),
-                        "phases": _phase_totals(snap),
-                    }
-                )
-
-    summary: Dict[str, dict] = {}
-    for run in runs:
-        s = summary.setdefault(
-            run["solver"],
-            {
-                "runs": 0,
-                "total_wall_time_s": 0.0,
-                "mean_ratio_vs_bound": 0.0,
-                "min_ratio_vs_bound": float("inf"),
-                "peak_oracle_calls": 0,
-            },
-        )
-        s["runs"] += 1
-        s["total_wall_time_s"] += run["wall_time_s"]
-        s["mean_ratio_vs_bound"] += run["ratio_vs_bound"]
-        s["min_ratio_vs_bound"] = min(s["min_ratio_vs_bound"], run["ratio_vs_bound"])
-        s["peak_oracle_calls"] = max(s["peak_oracle_calls"], run["oracle_calls"])
-    for s in summary.values():
-        s["mean_ratio_vs_bound"] /= s["runs"]
-
-    from repro.knapsack import get_solver
-
-    oracle = get_solver("fptas", eps=eps) if eps < 1.0 else get_solver("exact")
-    payload = {
-        "schema": SCHEMA_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "tag": tag,
-        "created_unix": time.time(),
-        "config": {
-            "families": list(families),
-            "n": int(n),
-            "k": int(k),
-            "seeds": [int(s) for s in seeds],
-            "solvers": list(solvers) if solvers is not None else None,
-            "eps": float(eps),
-            "oracle": oracle.name,
-            "timeout_s": float(timeout_s) if timeout_s is not None else None,
-        },
-        "environment": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "runs": runs,
-        "summary": summary,
-    }
-    context = {
-        "eps": eps,
-        "angle_instance": last_angle_instance,
-        "scale_sizes": scale_sizes,
-        "online_n": online_n,
-        "online_events": online_events,
-        "scenario_n": scenario_n,
-    }
-    for section in RUNNABLE_SECTIONS:
-        if section.name in sections:
-            payload[section.name] = section.runner(context)
-    return payload
-
-
-def _run_cache_bench(
-    instance: Optional[AngleInstance], eps: float, solver: str = "greedy+ls"
-) -> dict:
-    """Warm-vs-cold repeated solve through the engine result cache.
-
-    Cold: caches cleared, one full solve (a cache miss that fills the
-    entry).  Warm: the identical request again (a hit served from the
-    cache as a deep copy).  Returns wall times, the speedup and the
-    ``engine.cache`` counter deltas — the headline number the acceptance
-    bar reads (warm should be >= 5x faster than cold).
-    """
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-
-    if instance is None:
-        raise ValueError("cache_bench needs at least one angle family")
-    registry = get_registry()
-    clear_caches()
-    registry.reset()
-    request = SolveRequest(instance=instance, algorithm=solver, eps=eps)
-    t0 = time.perf_counter()
-    cold_report = engine_solve(request)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm_report = engine_solve(request)
-    warm_s = time.perf_counter() - t0
-    snap = registry.snapshot()
-    if not warm_report.cached or warm_report.value != cold_report.value:
-        raise RuntimeError(
-            "cache bench invariant broken: warm solve was not an "
-            "identical-value cache hit"
-        )
-    return {
-        "solver": solver,
-        "n": int(instance.n),
-        "k": int(instance.k),
-        "cold_wall_time_s": float(cold_s),
-        "warm_wall_time_s": float(warm_s),
-        "speedup": float(cold_s / warm_s) if warm_s > 0 else float("inf"),
-        "value": float(cold_report.value),
-        "cache_hits": int(snap.get("engine.cache.hits", {}).get("value", 0)),
-        "cache_misses": int(snap.get("engine.cache.misses", {}).get("value", 0)),
-        "compile_hits": int(
-            snap.get("engine.compile.hits", {}).get("value", 0)
-        ),
-        "compile_misses": int(
-            snap.get("engine.compile.misses", {}).get("value", 0)
-        ),
-    }
-
-
-def _run_compile_bench(
-    eps: float,
-    n: int = 8000,
-    k: int = 4,
-    n_distinct: int = 64,
-    repeats: int = 4,
-    algorithms: Sequence[str] = ("greedy", "adaptive"),
-) -> dict:
-    """Repeated multi-solver workload: per-call compilation vs one shared
-    :class:`~repro.core.compiled.CompiledInstance`.
-
-    One large, duplicate-heavy instance (``n`` customers clustered on
-    ``n_distinct`` distinct angles), full-circle antennas and loose
-    capacities.  That shape concentrates the per-solve cost in exactly
-    the work a compile amortizes — angle normalization, the stable
-    argsort, demand/profit prefix sums, sweep construction and
-    duplicate-window dedup — while the solver's own residual (vectorized
-    window sums plus the everything-fits fast path) stays O(n).  The same
-    ``len(algorithms) * repeats`` engine solves run twice:
-
-    * **cold** — caches cleared before every solve, so each one re-sorts,
-      re-prefixes and rebuilds its sweeps from scratch;
-    * **shared** — caches cleared once, so every solve after the first
-      reuses the fingerprint-cached compiled view.
-
-    The per-solve values must match exactly between passes (the compiled
-    path is a pure refactoring of the precompute); ``speedup`` is the
-    headline cold/shared throughput ratio.
-    """
-    import dataclasses
-    import math
-
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-    from repro.model.generators import uniform_angles
-
-    base = uniform_angles(n=n, k=k, seed=0, capacity_fraction=4.0)
-    rng = np.random.default_rng(0)
-    distinct = rng.uniform(0.0, 2.0 * math.pi, size=n_distinct)
-    spec0 = base.antennas[0]
-    instance = AngleInstance(
-        thetas=distinct[rng.integers(0, n_distinct, size=n)],
-        demands=base.demands,
-        profits=base.profits,
-        antennas=tuple(
-            dataclasses.replace(spec0, rho=2.0 * math.pi) for _ in range(k)
-        ),
-    )
-    requests = [
-        SolveRequest(instance=instance, algorithm=alg, eps=eps, use_cache=False)
-        for alg in algorithms
-    ] * repeats
-    registry = get_registry()
-
-    cold_values = []
-    t0 = time.perf_counter()
-    for request in requests:
-        clear_caches()
-        cold_values.append(engine_solve(request).value)
-    cold_s = time.perf_counter() - t0
-
-    clear_caches()
-    registry.reset()
-    shared_values = []
-    t0 = time.perf_counter()
-    for request in requests:
-        shared_values.append(engine_solve(request).value)
-    shared_s = time.perf_counter() - t0
-    snap = registry.snapshot()
-
-    if cold_values != shared_values:
-        raise RuntimeError(
-            "compile bench invariant broken: shared-compile solves are not "
-            "value-identical to per-call compilation"
-        )
-    solves = len(requests)
-    return {
-        "n": int(instance.n),
-        "k": int(instance.k),
-        "n_distinct": int(n_distinct),
-        "repeats": int(repeats),
-        "solves": int(solves),
-        "cold_wall_time_s": float(cold_s),
-        "shared_wall_time_s": float(shared_s),
-        "speedup": float(cold_s / shared_s) if shared_s > 0 else float("inf"),
-        "cold_solves_per_s": float(solves / cold_s) if cold_s > 0 else 0.0,
-        "shared_solves_per_s": float(solves / shared_s) if shared_s > 0 else 0.0,
-        "compile_hits": int(
-            snap.get("engine.compile.hits", {}).get("value", 0)
-        ),
-        "compile_misses": int(
-            snap.get("engine.compile.misses", {}).get("value", 0)
-        ),
-    }
-
-
-def _run_scale_bench(
-    eps: float,
-    sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
-    algorithm: str = "greedy",
-    towns: int = 8,
-) -> dict:
-    """Monolithic-vs-partitioned throughput curves on metro instances.
-
-    For each ``n`` in ``sizes``, generates one ``metro`` instance
-    (``towns`` well-separated power-law towns, so the reach graph has
-    exactly ``towns`` components) and solves it through the engine twice
-    with the same partitionable sector solver: once with
-    ``partition="never"`` (the monolithic baseline, which compiles the
-    full instance) and once with ``partition="force"`` (the
-    partition–solve–merge path of :mod:`repro.engine.partition`).
-
-    Two invariants are **asserted in-harness** on every row — a
-    violation raises ``RuntimeError`` rather than recording a payload:
-
-    * *merge-bound soundness* — ``mono_value <= part_value +
-      merge_bound``, the certified decomposition guarantee from
-      ``docs/SCALE.md`` (on well-separated towns the bound is slack but
-      the values should in fact be identical);
-    * *scale win* — ``speedup >= 3.0`` on rows with ``n >= 10**6``,
-      the acceptance bar for the partitioned strategy.
-
-    Each configuration is timed once per size: the million-customer
-    monolithic solve runs multiple seconds, so min-of-repeats de-noising
-    would triple an already-long bench for a ratio that is far from the
-    3x threshold.
-    """
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-    from repro.model.generators import power_law_metro
-
-    rows: List[dict] = []
-    for size in sizes:
-        instance = power_law_metro(n=int(size), towns=towns, seed=0)
-
-        def solve_once(partition: str) -> Tuple[float, Any]:
-            request = SolveRequest(
-                instance=instance,
-                family="sector",
-                algorithm=algorithm,
-                eps=eps,
-                use_cache=False,
-                partition=partition,
-            )
-            clear_caches()  # cold compile both ways: the comparison is fair
-            t0 = time.perf_counter()
-            report = engine_solve(request)
-            return time.perf_counter() - t0, report
-
-        mono_s, mono_report = solve_once("never")
-        part_s, part_report = solve_once("force")
-        if part_report.extra.get("strategy") != "partitioned":
-            raise RuntimeError(
-                "scale bench invariant broken: partition='force' did not "
-                f"run the partitioned strategy (n={size})"
-            )
-        merge_bound = float(part_report.extra["merge_bound"])
-        speedup = float(mono_s / part_s) if part_s > 0 else float("inf")
-        if mono_report.value > part_report.value + merge_bound + 1e-6:
-            raise RuntimeError(
-                "scale bench invariant broken: monolithic value "
-                f"{mono_report.value!r} exceeds partitioned value "
-                f"{part_report.value!r} + certified merge bound "
-                f"{merge_bound!r} at n={size}"
-            )
-        if size >= 1_000_000 and speedup < 3.0:
-            raise RuntimeError(
-                "scale bench invariant broken: partitioned speedup "
-                f"{speedup:.2f}x < 3x at n={size}"
-            )
-        rows.append(
-            {
-                "n": int(size),
-                "mono_s": float(mono_s),
-                "part_s": float(part_s),
-                "speedup": speedup,
-                "mono_value": float(mono_report.value),
-                "part_value": float(part_report.value),
-                "merge_bound": merge_bound,
-                "partition_upper_bound": float(
-                    part_report.extra["partition_upper_bound"]
-                ),
-                "parts": int(part_report.extra["partitions"]),
-                "unreachable": int(part_report.extra["unreachable"]),
-            }
-        )
-    return {
-        "algorithm": algorithm,
-        "family": "metro",
-        "towns": int(towns),
-        "rows": rows,
-    }
-
-
-def _run_online_bench(
-    n: int = 30_000,
-    events: int = 90,
-    sectors: int = 8,
-    repeats: int = 3,
-) -> dict:
-    """Delta-apply vs from-scratch-recompile throughput on an event stream.
-
-    One seeded stream of ``events`` events (every 4th an add, every 4th a
-    remove, the rest demand updates with ``profit == demand``, preserving
-    the paper's shared-objective fast path) is applied two ways to a
-    uniform angle instance of ``n`` customers:
-
-    * **delta** — one :class:`~repro.online.delta.DeltaCompiledInstance`
-      absorbing every event by patching the compiled views in place;
-    * **recompile** — the no-delta baseline: patch the raw arrays, build
-      a fresh :class:`~repro.model.instance.AngleInstance` and
-      ``compile()`` it after every event.
-
-    Three invariants are **asserted in-harness** (a violation raises
-    ``RuntimeError`` rather than recording a payload):
-
-    * *value identity* — after every event of an untimed correlated
-      pass, the delta generation equals the fresh compile bit-for-bit
-      (raw arrays, stable sort order, doubled prefix sums, content
-      fingerprint);
-    * *per-sector invalidation* — with ``sectors`` registered windows
-      tiling the circle, one add inside a single window evicts exactly
-      that window's result-cache key and leaves the others warm;
-    * *speedup gate* — delta apply is at least 5x recompile throughput
-      at ``n >= 10**4``.
-
-    Both sides are timed **best-of-``repeats``** (min over full-stream
-    passes): event applies are sub-millisecond, so a single pass is
-    dominated by scheduler noise on shared hardware, and min-of-k is the
-    standard de-noising for a ratio with a hard acceptance bar.
-    """
-    from repro.engine.cache import RESULT_CACHE, fingerprint
-    from repro.geometry.angles import TWO_PI
-    from repro.online.delta import (
-        AddCustomer,
-        DeltaCompiledInstance,
-        RemoveCustomer,
-        UpdateDemand,
-    )
-
-    seed_instance = _make_instance("uniform", n=n, k=3, seed=0)
-    rng = np.random.default_rng(7)
-    stream = []
-    adds = removes = updates = 0
-    live = n
-    for i in range(events):
-        if i % 4 == 0:
-            stream.append(AddCustomer(demand=float(rng.uniform(0.5, 2.0)),
-                                      theta=float(rng.uniform(0.0, TWO_PI))))
-            adds += 1
-            live += 1
-        elif i % 4 == 1:
-            stream.append(RemoveCustomer(index=int(rng.integers(0, live))))
-            removes += 1
-            live -= 1
-        else:
-            value = float(rng.uniform(0.5, 2.0))
-            stream.append(UpdateDemand(index=int(rng.integers(0, live)),
-                                       demand=value, profit=value))
-            updates += 1
-
-    def replay_raw(arrays, event):
-        """The no-delta baseline step: patch raw arrays, rebuild, recompile."""
-        thetas, demands = arrays
-        if isinstance(event, AddCustomer):
-            thetas = np.append(thetas, event.theta)
-            demands = np.append(demands, event.demand)
-        elif isinstance(event, RemoveCustomer):
-            thetas = np.delete(thetas, event.index)
-            demands = np.delete(demands, event.index)
-        else:
-            demands = demands.copy()
-            demands[event.index] = event.demand
-        instance = AngleInstance(thetas=thetas, demands=demands,
-                                 antennas=seed_instance.antennas)
-        return (instance.thetas, instance.demands), instance
-
-    # -- invariant 1: value identity, asserted after every event --------
-    delta = DeltaCompiledInstance(seed_instance)
-    arrays = (seed_instance.thetas, seed_instance.demands)
-    identity_events = 0
-    for event in stream:
-        delta.apply(event)
-        arrays, ref = replay_raw(arrays, event)
-        fresh = ref.compile()
-        view = delta.compiled
-        same = (
-            np.array_equal(delta.instance.thetas, ref.thetas)
-            and np.array_equal(delta.instance.demands, ref.demands)
-            and np.array_equal(delta.instance.profits, ref.profits)
-            and np.array_equal(view.order, fresh.order)
-            and np.array_equal(view.sorted_thetas, fresh.sorted_thetas)
-            and np.array_equal(view.demand_prefix, fresh.demand_prefix)
-            and np.array_equal(view.profit_prefix, fresh.profit_prefix)
-            and fingerprint(delta.instance) == fingerprint(ref)
-        )
-        if not same:
-            raise RuntimeError(
-                "online bench invariant broken: delta view diverged from "
-                f"a fresh compile after event {identity_events} "
-                f"({type(event).__name__})"
-            )
-        identity_events += 1
-
-    # -- invariant 2: per-sector invalidation keeps untouched keys warm -
-    delta = DeltaCompiledInstance(seed_instance)
-    width = TWO_PI / sectors
-    keys = []
-    for s in range(sectors):
-        key = ("online-bench", s)
-        RESULT_CACHE.put(key, f"sector-{s}")
-        delta.register_window(key, s * width, width * (1.0 - 1e-9))
-        keys.append(key)
-    summary = delta.apply(AddCustomer(demand=1.0, theta=width / 2.0))
-    invalidated = int(summary["invalidated"])
-    warm_hits = sum(
-        1 for s, key in enumerate(keys) if RESULT_CACHE.get(key) == f"sector-{s}"
-    )
-    if invalidated != 1 or warm_hits != sectors - 1:
-        raise RuntimeError(
-            "online bench invariant broken: one in-window add should evict "
-            f"exactly 1 of {sectors} registered windows, got "
-            f"invalidated={invalidated} warm={warm_hits}"
-        )
-
-    # -- timing: best-of-repeats on both sides --------------------------
-    def delta_pass() -> float:
-        d = DeltaCompiledInstance(seed_instance)
-        t0 = time.perf_counter()
-        for event in stream:
-            d.apply(event)
-        return time.perf_counter() - t0
-
-    def recompile_pass() -> float:
-        arrays = (seed_instance.thetas, seed_instance.demands)
-        t0 = time.perf_counter()
-        for event in stream:
-            arrays, instance = replay_raw(arrays, event)
-            instance.compile()
-        return time.perf_counter() - t0
-
-    delta_s = min(delta_pass() for _ in range(repeats))
-    recompile_s = min(recompile_pass() for _ in range(repeats))
-    speedup = float(recompile_s / delta_s) if delta_s > 0 else float("inf")
-    if n >= 10_000 and speedup < 5.0:
-        raise RuntimeError(
-            "online bench invariant broken: delta apply speedup "
-            f"{speedup:.2f}x < 5x vs recompile at n={n}"
-        )
-    return {
-        "n": int(n),
-        "events": int(events),
-        "adds": int(adds),
-        "removes": int(removes),
-        "updates": int(updates),
-        "delta_s": float(delta_s),
-        "recompile_s": float(recompile_s),
-        "delta_events_per_s": float(events / delta_s) if delta_s > 0 else 0.0,
-        "recompile_events_per_s": (
-            float(events / recompile_s) if recompile_s > 0 else 0.0
-        ),
-        "speedup": speedup,
-        "identity_events": int(identity_events),
-        "sectors": int(sectors),
-        "warm_hits": int(warm_hits),
-        "invalidated": int(invalidated),
-    }
-
-
-def _run_scenario_bench(
-    eps: float,
-    n: int = 60_000,
-    towns: int = 12,
-    identity_n: int = 4_000,
-    identity_towns: int = 6,
-    repeats: int = 3,
-) -> dict:
-    """Constraint-pipeline gate: identity, feasibility and compose overhead.
-
-    Exercises the ``scenario`` generator family
-    (:func:`repro.model.generators.scenario_metro_blockage` — a
-    power-law metro with random blockage segments plus a
-    ``max_assignments`` rule, ``docs/SCENARIOS.md``) and asserts three
-    invariants **in-harness** (a violation raises ``RuntimeError``
-    rather than recording a payload):
-
-    * *composition identity* — on an ``identity_n``-customer scenario,
-      the scalar constraint composition (the reference,
-      :func:`repro.model.constraints.compose_station_masks` with
-      ``backend="python"``) and the vectorized kernel path the solvers
-      run (``backend="numpy"``) produce bit-identical per-station masks;
-    * *mask feasibility* — engine solves (``greedy`` and
-      ``independent``) of the constrained scenario verify feasible
-      (:meth:`SectorSolution.verify` checks every served pair against
-      the composed masks);
-    * *overhead gate* — on the ``n``-customer scenario, the
-      ``phase.sector.constraints`` timer (mask composition inside
-      :meth:`CompiledSectorInstance.constraint_masks`) is **< 10%** of
-      the full *unconstrained* compile wall time (polar conversion +
-      eligibility triple of the constraint-free twin), both sides
-      best-of-``repeats``.  The gate arms only at ``n >= 5 * 10**4``:
-      below that, fixed per-call overheads dominate both timers and the
-      ratio is noise (the smoke runs a small ``n`` for the round-trip,
-      the committed payload the armed default).
-
-    The knapsack oracle runs at ``max(eps, 0.1)``: scenario instances
-    combine pareto demands with tight capacities, where the exact
-    branch-and-bound oracle can blow past its node budget.
-    """
-    from repro.core.compiled import CompiledSectorInstance
-    from repro.engine import SolveRequest, clear_caches
-    from repro.engine import solve as engine_solve
-    from repro.model.constraints import compose_station_masks
-    from repro.model.generators import scenario_metro_blockage
-    from repro.model.instance import SectorInstance
-
-    registry = get_registry()
-    eps = max(float(eps), 0.1)
-
-    # -- invariant 1: scalar == numpy composition, bit-for-bit ----------
-    small = scenario_metro_blockage(n=identity_n, towns=identity_towns, seed=0)
-    compiled_small = CompiledSectorInstance(small)
-    compiled_small.ensure_stations()
-    m_small = len(small.stations)
-    rs_small = [compiled_small.station(s).rs for s in range(m_small)]
-    masks_py = compose_station_masks(small, rs_small, backend="python")
-    masks_np = compose_station_masks(small, rs_small, backend="numpy")
-    if masks_py is None or masks_np is None:
-        raise RuntimeError(
-            "scenario bench invariant broken: the scenario family must "
-            "produce nontrivial constraint masks"
-        )
-    for s in range(m_small):
-        if not np.array_equal(masks_py[s], masks_np[s]):
-            raise RuntimeError(
-                "scenario bench invariant broken: scalar and numpy "
-                f"constraint composition diverge at station {s}"
-            )
-    masked_pairs = int(sum(int((~mask).sum()) for mask in masks_py))
-    total_pairs = int(m_small * small.n)
-
-    # -- invariant 2: every constrained solve verifies -------------------
-    for algorithm in ("greedy", "independent"):
-        clear_caches()
-        report = engine_solve(SolveRequest(
-            instance=small, family="sector", algorithm=algorithm, eps=eps,
-            use_cache=False,
-        ))
-        # verify() re-derives the composed masks and rejects any served
-        # pair a constraint masks out.
-        report.solution.verify(small)
-
-    # -- invariant 3: mask composition < 10% of unconstrained compile ---
-    big = scenario_metro_blockage(n=n, towns=towns, seed=0)
-    plain = SectorInstance(
-        positions=big.positions,
-        demands=big.demands,
-        profits=big.profits,
-        stations=big.stations,
-    )
-    compile_s = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        CompiledSectorInstance(plain).eligibility()
-        compile_s = min(compile_s, time.perf_counter() - t0)
-    constraints_s = float("inf")
-    for _ in range(repeats):
-        registry.reset()
-        CompiledSectorInstance(big).eligibility()
-        snap = registry.snapshot()
-        constraints_s = min(
-            constraints_s,
-            float(snap["phase.sector.constraints"]["total_s"]),
-        )
-    overhead_ratio = (
-        constraints_s / compile_s if compile_s > 0 else float("inf")
-    )
-    if n >= 50_000 and overhead_ratio >= 0.10:
-        raise RuntimeError(
-            "scenario bench invariant broken: constraint mask composition "
-            f"took {overhead_ratio:.1%} of the unconstrained compile "
-            f"({constraints_s * 1e3:.2f}ms vs {compile_s * 1e3:.2f}ms) — "
-            "the <10% overhead gate failed"
-        )
-
-    segments = sum(
-        len(c.segments)
-        for c in big.constraints
-        if hasattr(c, "segments")
-    )
-    return {
-        "n": int(big.n),
-        "towns": int(towns),
-        "stations": int(len(big.stations)),
-        "segments": int(segments),
-        "identity_n": int(small.n),
-        "identity_stations": int(m_small),
-        "masked_pairs": masked_pairs,
-        "total_pairs": total_pairs,
-        "compile_s": float(compile_s),
-        "constraints_s": float(constraints_s),
-        "overhead_ratio": float(overhead_ratio),
-    }
-
-
-def _run_service_bench(
-    eps: float,
-    n: int = 20,
-    k: int = 2,
-    requests: int = 200,
-    algorithm: str = "greedy",
-) -> dict:
-    """Serving throughput through an in-process solver service.
-
-    Three phases against one `start_in_thread` service on an ephemeral
-    port (small angle instances — the serving overhead is the subject,
-    not the solver):
-
-    * ``single_rps`` — sequential request/response solves with the cache
-      bypassed: every solve rides its own batch (occupancy 1);
-    * ``batched_rps`` — the same requests pipelined in one burst, cache
-      bypassed: the micro-batcher coalesces them into ``solve_many``
-      dispatches;
-    * ``warm_rps`` — the burst repeated with caching on after a priming
-      pass: served from the warm parent-process result cache.
-
-    ``requests`` distinct instances (cycling seeds) keep the cold phases
-    honest — no in-batch dedup, no accidental cache hits.
-
-    A fourth, nested ``supervised`` section benches the supervised
-    worker-pool serving mode (``serve --workers``), including
-    kill-under-load throughput with deterministic worker SIGKILL
-    injection — see :func:`_run_supervised_bench`.
-    """
-    from repro.model.generators import uniform_angles
-    from repro.service import ServiceClient, start_in_thread
-
-    instances = [uniform_angles(n=n, k=k, seed=s) for s in range(requests)]
-    singles = instances[: max(1, requests // 4)]
-    handle = start_in_thread(port=0, max_batch=32, queue_bound=2 * requests)
-    max_batch_seen = 0
-    try:
-        with ServiceClient(port=handle.port, timeout_s=300.0) as client:
-            t0 = time.perf_counter()
-            for inst in singles:
-                response = client.solve(
-                    inst, algorithm=algorithm, eps=eps, use_cache=False
-                )
-                _require_ok(response, "service_bench single")
-            single_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            responses = client.solve_batch(
-                instances, algorithm=algorithm, eps=eps, use_cache=False
-            )
-            batched_s = time.perf_counter() - t0
-            for response in responses:
-                _require_ok(response, "service_bench batched")
-            max_batch_seen = max(r["batch_size"] for r in responses)
-
-            for response in client.solve_batch(
-                instances, algorithm=algorithm, eps=eps
-            ):  # priming pass fills the parent result cache
-                _require_ok(response, "service_bench priming")
-            t0 = time.perf_counter()
-            responses = client.solve_batch(instances, algorithm=algorithm, eps=eps)
-            warm_s = time.perf_counter() - t0
-            for response in responses:
-                _require_ok(response, "service_bench warm")
-            shed = int(
-                client.stats()["metrics"]
-                .get("service.shed", {})
-                .get("value", 0)
-            )
-    finally:
-        handle.stop()
-    return {
-        "algorithm": algorithm,
-        "n": int(n),
-        "k": int(k),
-        "requests": int(requests),
-        "single_rps": float(len(singles) / single_s) if single_s > 0 else 0.0,
-        "batched_rps": float(requests / batched_s) if batched_s > 0 else 0.0,
-        "warm_rps": float(requests / warm_s) if warm_s > 0 else 0.0,
-        "max_batch": int(max_batch_seen),
-        "shed": shed,
-        "supervised": _run_supervised_bench(
-            instances, algorithm=algorithm, eps=eps
-        ),
-    }
-
-
-def _run_supervised_bench(
-    instances: list,
-    algorithm: str,
-    eps: float,
-    workers: int = 2,
-) -> dict:
-    """Supervised worker-pool throughput, clean and under kill injection.
-
-    Two bursts of the same cache-bypassed pipelined load:
-
-    * ``supervised_rps`` — against a healthy ``workers``-subprocess pool
-      (shard routing over per-worker pipes, no faults);
-    * ``kill_rps`` — against the same pool with a deterministic
-      :class:`~repro.resilience.chaos.ChaosPolicy` SIGKILLing workers at
-      reply time (``kill_rate``); every request must still answer status
-      0, and the supervisor's restart/redispatch/degraded counters are
-      recorded alongside the throughput.  The gap between the two rates
-      is the measured price of crash recovery.
-
-    Pool counters are read as ``stats`` deltas around each burst (the
-    registry is process-wide, so totals would mix phases).  The clean
-    burst must have measured the pool: it raises ``RuntimeError`` when
-    any of its requests degraded to the in-process fallback, or when no
-    slice was dispatched to a worker at all.
-    """
-    from repro.resilience.chaos import ChaosPolicy
-    from repro.service import ServiceClient, start_in_thread
-
-    requests = len(instances)
-
-    def burst(handle, where: str) -> Tuple[float, Dict[str, int]]:
-        with ServiceClient(port=handle.port, timeout_s=300.0) as client:
-            before = _pool_counters(client)
-            t0 = time.perf_counter()
-            responses = client.solve_batch(
-                instances, algorithm=algorithm, eps=eps, use_cache=False
-            )
-            elapsed = time.perf_counter() - t0
-            for response in responses:
-                _require_ok(response, where)
-            after = _pool_counters(client)
-        return elapsed, {name: after[name] - before[name] for name in after}
-
-    handle = start_in_thread(
-        port=0, max_batch=32, queue_bound=2 * requests, workers=workers
-    )
-    try:
-        supervised_s, clean = burst(handle, "service_bench supervised")
-    finally:
-        handle.stop()
-    if clean["degraded"] > 0 or clean["dispatches"] == 0:
-        raise RuntimeError(
-            "service bench invariant broken: the clean supervised burst "
-            f"measured the in-process fallback, not the worker pool "
-            f"(degraded={clean['degraded']}, "
-            f"dispatches={clean['dispatches']})"
-        )
-
-    chaos = ChaosPolicy(seed=11, kill_rate=0.35)
-    handle = start_in_thread(
-        port=0, max_batch=8, queue_bound=2 * requests, workers=workers,
-        chaos=chaos,
-        supervisor_options={
-            "call_timeout_s": 60.0,
-            "probe_interval_s": 0.05,
-            "restart_backoff_s": 0.02,
-        },
-    )
-    try:
-        kill_s, killed = burst(handle, "service_bench kill-under-load")
-    finally:
-        handle.stop()
-    return {
-        "workers": int(workers),
-        "requests": int(requests),
-        "supervised_rps": (
-            float(requests / supervised_s) if supervised_s > 0 else 0.0
-        ),
-        "kill_rate": float(chaos.kill_rate),
-        "kill_rps": float(requests / kill_s) if kill_s > 0 else 0.0,
-        "restarts": killed["restarts"],
-        "redispatches": killed["redispatches"],
-        "degraded": killed["degraded"],
-    }
-
-
-#: Supervised-pool counters the service bench reads per phase.
-_POOL_COUNTERS = {
-    "dispatches": "service.worker.dispatches",
-    "degraded": "service.worker.degraded",
-    "redispatches": "service.worker.redispatches",
-    "restarts": "service.supervisor.restarts",
-}
-
-
-def _pool_counters(client) -> Dict[str, int]:
-    """Current values of :data:`_POOL_COUNTERS` from the ``stats`` op."""
-    metrics = client.stats()["metrics"]
-    return {
-        short: int(metrics.get(name, {}).get("value", 0))
-        for short, name in _POOL_COUNTERS.items()
-    }
-
-
-def _require_ok(response: dict, where: str) -> None:
-    if response.get("status") != 0:
-        raise RuntimeError(f"{where}: status {response.get('status')}: "
-                           f"{response.get('error')}")
-
-
-# ----------------------------------------------------------------------
-# Section declarations: the one table validation, comparison and the CLI
-# flags derive from (the schema scripts/smoke.sh enforces)
-# ----------------------------------------------------------------------
-#: A cross-field invariant: ``(message, predicate over the object)``.
-Invariant = Tuple[str, Callable[[dict], bool]]
-
-
-@dataclass(frozen=True)
-class BenchSection:
-    """One payload section, declared once.
-
-    :func:`validate_bench` checks every object against ``fields`` (type,
-    presence unless listed in ``optional``, and every numeric field
-    ``>= 0``), then each nested part, then the ``invariants``.
-    ``scripts/bench_compare.py`` flattens ``metrics`` — all oriented
-    higher-is-better: ``"name"`` reads the field as is, and
-    ``"name=num/den"`` compares the ratio instead (``1/x`` for the
-    ``*_s`` wall times), skipped unless both sides are positive.
-
-    ``parts`` are nested sections keyed by their ``name``; a part with
-    ``many="list"`` (or ``"map"``) is a non-empty collection of such
-    objects, and ``label`` (formatted with the element's fields, or its
-    map ``key``) names each element's metrics.  Every top-level section
-    is optional in the payload.  One with a ``runner`` gets the CLI flag
-    ``--<name>`` (underscores as dashes) with ``help`` as its text; the
-    runner maps the bench context to the section object.  One without a
-    runner is history: validated when present, never produced.
-    """
-
-    name: str
-    fields: Dict[str, type]
-    optional: frozenset = frozenset()
-    invariants: Tuple[Invariant, ...] = ()
-    metrics: Tuple[str, ...] = ()
-    parts: Tuple["BenchSection", ...] = ()
-    many: str = ""
-    label: str = ""
-    runner: Optional[Callable[[dict], dict]] = None
-    help: str = ""
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-RUNS = BenchSection(
-    name="runs",
-    many="list",
-    fields={
-        "family": str,
-        "kind": str,
-        "n": int,
-        "k": int,
-        "seed": int,
-        "solver": str,
-        "wall_time_s": float,
-        "value": float,
-        "upper_bound": float,
-        "ratio_vs_bound": float,
-        "oracle_calls": int,
-        "candidate_windows": int,
-        "phases": dict,
-    },
-    invariants=(
-        ("kind must be 'angle' or 'sector'",
-         lambda r: r["kind"] in ("angle", "sector")),
-        ("value exceeds its proven upper bound",
-         lambda r: r["value"] <= r["upper_bound"] * (1.0 + 1e-6) + 1e-9),
-        ("ratio_vs_bound outside [0, 1]",
-         lambda r: r["ratio_vs_bound"] <= 1.0 + 1e-6),
-        ("phases must map to non-negative seconds",
-         lambda r: all(isinstance(phase, str) and _is_number(seconds)
-                       and seconds >= 0.0
-                       for phase, seconds in r["phases"].items())),
-    ),
-)
-
-SUMMARY = BenchSection(
-    name="summary",
-    many="map",
-    label="summary.{key}",
-    fields={
-        "runs": int,
-        "total_wall_time_s": float,
-        "mean_ratio_vs_bound": float,
-        "min_ratio_vs_bound": float,
-        "peak_oracle_calls": int,
-    },
-    invariants=(("runs must be positive", lambda s: s["runs"] > 0),),
-    metrics=("solves_per_s=runs/total_wall_time_s",),
-)
-
-_SUPERVISED = BenchSection(
-    name="supervised",
-    fields={
-        "workers": int,
-        "requests": int,
-        "supervised_rps": float,
-        "kill_rate": float,
-        "kill_rps": float,
-        "restarts": int,
-        "redispatches": int,
-        "degraded": int,
-    },
-    invariants=(
-        ("workers must be >= 1", lambda s: s["workers"] >= 1),
-        ("kill_rate out of [0, 1]", lambda s: s["kill_rate"] <= 1.0),
-    ),
-    metrics=("supervised_rps", "kill_rps"),
-)
-
-_SCALE_ROWS = BenchSection(
-    name="rows",
-    many="list",
-    label="n{n}",
-    fields={
-        "n": int,
-        "mono_s": float,
-        "part_s": float,
-        "speedup": float,
-        "mono_value": float,
-        "part_value": float,
-        "merge_bound": float,
-        "partition_upper_bound": float,
-        "parts": int,
-        "unreachable": int,
-    },
-    invariants=(
-        ("n must be positive", lambda r: r["n"] > 0),
-        ("parts must be >= 1", lambda r: r["parts"] >= 1),
-        ("monolithic value exceeds partitioned value plus the certified "
-         "merge bound",
-         lambda r: r["mono_value"] <= r["part_value"] + r["merge_bound"] + 1e-6),
-    ),
-    metrics=(
-        "mono_solves_per_s=1/mono_s",
-        "part_solves_per_s=1/part_s",
-        "speedup",
-    ),
-)
-
-_SCENARIO_ROWS = BenchSection(
-    name="rows",
-    many="list",
-    label="{solver}",
-    fields={
-        "solver": str,
-        "python_s": float,
-        "numpy_s": float,
-        "value": float,
-    },
-    metrics=(
-        "python_solves_per_s=1/python_s",
-        "numpy_solves_per_s=1/numpy_s",
-    ),
-)
-
-#: The optional payload sections, in payload order; each is validated
-#: only when present (schema stays v1).  Those with a runner are the
-#: ones ``run_bench(sections=...)`` can append.
-BENCH_SECTIONS: Tuple[BenchSection, ...] = (
-    BenchSection(
-        name="cache_bench",
-        runner=lambda c: _run_cache_bench(c["angle_instance"], eps=c["eps"]),
-        help="add the warm-vs-cold engine-cache benchmark section",
-        fields={
-            "solver": str,
-            "n": int,
-            "k": int,
-            "cold_wall_time_s": float,
-            "warm_wall_time_s": float,
-            "speedup": float,
-            "value": float,
-            "cache_hits": int,
-            "cache_misses": int,
-            "compile_hits": int,
-            "compile_misses": int,
-        },
-        # Added after BENCH_pr3/pr4 were recorded, without a version bump.
-        optional=frozenset({"compile_hits", "compile_misses"}),
-        metrics=(
-            "cold_solves_per_s=1/cold_wall_time_s",
-            "warm_solves_per_s=1/warm_wall_time_s",
-            "speedup",
-        ),
-    ),
-    BenchSection(
-        name="service_bench",
-        runner=lambda c: _run_service_bench(eps=c["eps"]),
-        help="add the serving-throughput benchmark section "
-             "(single vs batched vs warm-cache req/s)",
-        fields={
-            "algorithm": str,
-            "n": int,
-            "k": int,
-            "requests": int,
-            "single_rps": float,
-            "batched_rps": float,
-            "warm_rps": float,
-            "max_batch": int,
-            "shed": int,
-        },
-        # Payloads from before the supervised serving mode lack it.
-        optional=frozenset({"supervised"}),
-        parts=(_SUPERVISED,),
-        invariants=(
-            ("requests must be positive", lambda s: s["requests"] > 0),
-            ("max_batch must be >= 1", lambda s: s["max_batch"] >= 1),
-        ),
-        metrics=("single_rps", "batched_rps", "warm_rps"),
-    ),
-    BenchSection(
-        name="compile_bench",
-        runner=lambda c: _run_compile_bench(eps=c["eps"]),
-        help="add the compiled-instance benchmark section "
-             "(per-call compilation vs one shared compiled view)",
-        fields={
-            "n": int,
-            "k": int,
-            "n_distinct": int,
-            "repeats": int,
-            "solves": int,
-            "cold_wall_time_s": float,
-            "shared_wall_time_s": float,
-            "speedup": float,
-            "cold_solves_per_s": float,
-            "shared_solves_per_s": float,
-            "compile_hits": int,
-            "compile_misses": int,
-        },
-        invariants=(("solves must be positive", lambda s: s["solves"] > 0),),
-        metrics=("cold_solves_per_s", "shared_solves_per_s", "speedup"),
-    ),
-    # Read-only history (BENCH_pr6-pr10): the python-vs-numpy backend
-    # comparison, retired with the backend knob (docs/BACKENDS.md).
-    BenchSection(
-        name="backend_bench",
-        fields={
-            "algorithm": str,
-            "n": int,
-            "k": int,
-            "knapsack_n": int,
-            "knapsack_python_s": float,
-            "knapsack_numpy_s": float,
-            "knapsack_speedup": float,
-            "knapsack_value": float,
-            "kernel_python_s": float,
-            "kernel_numpy_s": float,
-            "kernel_speedup": float,
-            "angle_python_s": float,
-            "angle_numpy_s": float,
-            "angle_speedup": float,
-            "angle_value": float,
-            "sector_algorithm": str,
-            "sector_n": int,
-            "sector_python_s": float,
-            "sector_numpy_s": float,
-            "sector_speedup": float,
-            "sector_value": float,
-        },
-        invariants=(
-            ("sizes must be positive",
-             lambda s: s["n"] > 0 and s["sector_n"] > 0 and s["knapsack_n"] > 0),
-        ),
-        metrics=(
-            "knapsack_speedup",
-            "kernel_speedup",
-            "angle_speedup",
-            "sector_speedup",
-            "knapsack_numpy_solves_per_s=1/knapsack_numpy_s",
-            "kernel_numpy_solves_per_s=1/kernel_numpy_s",
-            "angle_numpy_solves_per_s=1/angle_numpy_s",
-            "sector_numpy_solves_per_s=1/sector_numpy_s",
-        ),
-    ),
-    BenchSection(
-        name="scale_bench",
-        runner=lambda c: _run_scale_bench(eps=c["eps"], sizes=c["scale_sizes"]),
-        help="add the scale section: monolithic-vs-partitioned throughput "
-             "curves on metro instances up to n=10^6, merge-bound "
-             "soundness asserted in-harness (docs/SCALE.md)",
-        fields={
-            "algorithm": str,
-            "family": str,
-            "towns": int,
-        },
-        parts=(_SCALE_ROWS,),
-    ),
-    BenchSection(
-        name="online_bench",
-        runner=lambda c: _run_online_bench(
-            n=c["online_n"], events=c["online_events"]
-        ),
-        help="add the online-delta section: event-apply vs from-scratch "
-             "recompile throughput on a large instance, value identity and "
-             "per-sector cache invalidation asserted in-harness "
-             "(docs/ONLINE.md)",
-        fields={
-            "n": int,
-            "events": int,
-            "adds": int,
-            "removes": int,
-            "updates": int,
-            "delta_s": float,
-            "recompile_s": float,
-            "delta_events_per_s": float,
-            "recompile_events_per_s": float,
-            "speedup": float,
-            "identity_events": int,
-            "sectors": int,
-            "warm_hits": int,
-            "invalidated": int,
-        },
-        invariants=(
-            ("sizes must be positive", lambda s: s["n"] > 0 and s["events"] > 0),
-            ("event mix must sum to the event count",
-             lambda s: s["adds"] + s["removes"] + s["updates"] == s["events"]),
-            ("speedup must be positive", lambda s: s["speedup"] > 0.0),
-            ("must assert identity on every event",
-             lambda s: s["identity_events"] == s["events"]),
-            ("invalidation split must cover every sector",
-             lambda s: s["warm_hits"] + s["invalidated"] == s["sectors"]),
-        ),
-        metrics=("delta_events_per_s", "recompile_events_per_s", "speedup"),
-    ),
-    BenchSection(
-        name="scenario_bench",
-        runner=lambda c: _run_scenario_bench(eps=c["eps"], n=c["scenario_n"]),
-        help="add the constraint-pipeline section: scalar-vs-vectorized "
-             "mask composition identity, constrained solve feasibility, "
-             "and the <10% mask-compose overhead gate asserted "
-             "in-harness (docs/SCENARIOS.md)",
-        fields={
-            "n": int,
-            "towns": int,
-            "stations": int,
-            "segments": int,
-            "identity_n": int,
-            "identity_stations": int,
-            "masked_pairs": int,
-            "total_pairs": int,
-            "compile_s": float,
-            "constraints_s": float,
-            "overhead_ratio": float,
-        },
-        # Per-backend solve timings, recorded up to BENCH_pr10.
-        optional=frozenset({"rows"}),
-        parts=(_SCENARIO_ROWS,),
-        invariants=(
-            ("sizes must be positive",
-             lambda s: s["n"] > 0 and s["identity_n"] > 0),
-            ("station counts must be >= 1",
-             lambda s: s["stations"] >= 1 and s["identity_stations"] >= 1),
-            ("masked pairs must lie within the pair count",
-             lambda s: s["masked_pairs"] <= s["total_pairs"]),
-        ),
-        # The overhead ratio is inverted so that a slower mask
-        # composition reads as a metric drop.
-        metrics=("compose_headroom=1/overhead_ratio",),
-    ),
-)
-
-#: The sections ``run_bench`` can produce, each with a CLI flag.
-RUNNABLE_SECTIONS: Tuple[BenchSection, ...] = tuple(
-    s for s in BENCH_SECTIONS if s.runner is not None
-)
-
-#: The whole payload below its header: ``runs`` and ``summary`` are
-#: required, every :data:`BENCH_SECTIONS` entry optional.
-PAYLOAD = BenchSection(
-    name="",
-    fields={},
-    parts=(RUNS, SUMMARY) + BENCH_SECTIONS,
-    optional=frozenset(s.name for s in BENCH_SECTIONS),
-    invariants=(
-        ("summary solvers must equal the run solvers",
-         lambda p: set(p["summary"]) == {r["solver"] for r in p["runs"]}),
-    ),
-)
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(f"bench payload invalid: {msg}")
-
-
-def _validate_part(section: BenchSection, value: Any, where: str) -> None:
-    """Validate one occurrence of ``section`` (a collection if ``many``)."""
-    if not section.many:
-        _validate_object(section, value, where)
-        return
-    kind = list if section.many == "list" else dict
-    _check(isinstance(value, kind) and bool(value),
-           f"{where} must be a non-empty {kind.__name__}")
-    for key, obj in (enumerate(value) if kind is list else value.items()):
-        _validate_object(section, obj, f"{where}[{key!r}]")
-
-
-def _validate_object(section: BenchSection, obj: Any, where: str) -> None:
-    _check(isinstance(obj, dict), f"{where or 'payload'} must be an object")
-    for field, typ in section.fields.items():
-        if field not in obj:
-            _check(field in section.optional, f"{where} missing field {field!r}")
-            continue
-        val = obj[field]
-        if typ in (int, float):
-            _check(
-                _is_number(val) and (typ is float or isinstance(val, int)),
-                f"{where}.{field} must be "
-                f"{'a number' if typ is float else 'int'}, "
-                f"got {type(val).__name__}",
-            )
-            _check(val >= 0, f"{where}.{field} negative")
-        else:
-            _check(isinstance(val, typ),
-                   f"{where}.{field} must be {typ.__name__}, "
-                   f"got {type(val).__name__}")
-    for part in section.parts:
-        if part.name in obj:
-            _validate_part(part, obj[part.name],
-                           f"{where}.{part.name}" if where else part.name)
-        else:
-            _check(part.name in section.optional,
-                   f"{where or 'payload'} missing field {part.name!r}")
-    for message, holds in section.invariants:
-        _check(holds(obj), f"{where}: {message}" if where else message)
-
-
-def validate_bench(payload: dict) -> dict:
-    """Validate a bench payload against the frozen schema; returns it.
-
-    Raises ``ValueError`` with a field-level message on the first
-    violation.  Checks the header (identity, version, tag, config and
-    environment presence), then every section declared in
-    :data:`PAYLOAD`: field names and types, every numeric field
-    non-negative, and the declared invariants (e.g. ``ratio_vs_bound <=
-    1 + 1e-6``, ``value <= upper_bound`` within tolerance, summary
-    solvers equal to run solvers).
-    """
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    _check(payload.get("schema") == SCHEMA_NAME,
-           f"schema must be {SCHEMA_NAME!r}, got {payload.get('schema')!r}")
-    _check(payload.get("schema_version") == SCHEMA_VERSION,
-           f"schema_version must be {SCHEMA_VERSION}")
-    _check(isinstance(payload.get("tag"), str) and payload["tag"],
-           "tag must be a non-empty string")
-    _check(isinstance(payload.get("created_unix"), (int, float)),
-           "created_unix must be a number")
-    _check(isinstance(payload.get("config"), dict), "config must be an object")
-    _check(isinstance(payload.get("environment"), dict),
-           "environment must be an object")
-    _validate_object(PAYLOAD, payload, "")
-    return payload
-
-
-def write_bench(payload: dict, path: str) -> str:
-    """Validate then write the payload as pretty JSON; returns the path."""
-    validate_bench(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
-
-
-def load_bench(path: str) -> dict:
-    """Read and validate a bench JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_bench(json.load(fh))

@@ -38,7 +38,8 @@ after every event the delta view is **bit-identical** to
 content: same argsort, same prefix sums, same masks, same engine
 fingerprint.  Untouched arrays are reused by reference across generations,
 which is what makes delta-apply ≥5× cheaper than a recompile at n ≥ 10⁴
-(the ``online_bench`` section of ``obs/bench.py`` enforces this).
+(the ``slow`` test ``tests/test_online_delta.py::TestTimingGate`` enforces
+this at n = 3·10⁴).
 
 Per-sector cache invalidation: callers tag engine result-cache keys with
 the angular window they were solved over (:meth:`register_window`); an

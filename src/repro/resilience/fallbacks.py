@@ -6,7 +6,7 @@ until one produces a solution.  Each stage gets a **fresh**
 oracle limits — a late stage is never starved by an early one), transient
 failures are retried with exponential backoff, and every attempt is
 recorded both in the returned :class:`ChainResult` and in the solution's
-own metadata (``solution.meta["resilience"]``), so a bench row can always
+own metadata (``solution.meta["resilience"]``), so a report row can always
 answer *which stage produced this number, and why*.
 
 Failure routing per attempt:

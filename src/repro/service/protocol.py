@@ -265,7 +265,7 @@ def report_to_response(
 
     ``batch_size`` is how many requests rode the same ``solve_many``
     dispatch (1 for a cache hit) — the observable the coalescing tests
-    and the bench read.  ``include_solution`` attaches the serialized
+    and the repository benchmark read.  ``include_solution`` attaches the serialized
     solution for angle/sector families (other families' native results
     are summarized by ``value``/``extra`` only).
     """

@@ -15,8 +15,8 @@ responses carry the request ``id`` and may arrive out of order.  ``stats``
 and ``ping`` are answered inline (they must work even when the solve
 queue is saturated — that is the point of having them).
 
-Use :func:`start_in_thread` to embed a service in a test, a notebook or
-the bench harness without touching signals or subprocesses.
+Use :func:`start_in_thread` to embed a service in a test or a notebook
+without touching signals or subprocesses.
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ class SolverService:
 # Embedding and CLI entry points
 # ----------------------------------------------------------------------
 class ServiceHandle:
-    """A service running on a background thread (tests, bench, notebooks).
+    """A service running on a background thread (tests, notebooks).
 
     Attributes: ``port`` (the bound TCP port) and ``unix_path``.  Call
     :meth:`stop` to drain gracefully and join the thread.

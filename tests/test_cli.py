@@ -159,40 +159,6 @@ class TestRenderFlag:
         assert "antenna 0" in out and "served" in out
 
 
-class TestBench:
-    def test_bench_writes_valid_payload(self, tmp_path, capsys):
-        from repro.obs.bench import load_bench
-
-        out = tmp_path / "BENCH_cli.json"
-        assert run(["bench", "--families", "uniform", "--n", "15", "--k", "2",
-                    "--seeds", "0", "--solvers", "greedy,shifting",
-                    "--tag", "cli", "--output", out]) == 0
-        table = capsys.readouterr().out
-        assert "greedy" in table and "shifting" in table
-        payload = load_bench(out)
-        assert payload["tag"] == "cli"
-        assert {r["solver"] for r in payload["runs"]} == {"greedy", "shifting"}
-
-    def test_bench_check_valid(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_c.json"
-        run(["bench", "--families", "uniform", "--n", "12", "--k", "2",
-             "--solvers", "greedy", "--output", out])
-        capsys.readouterr()
-        assert run(["bench", "--check", out]) == 0
-        assert "valid repro.bench v1" in capsys.readouterr().out
-
-    def test_bench_check_rejects_corrupt(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "nope"}))
-        assert run(["bench", "--check", bad]) == 2
-        assert "schema" in capsys.readouterr().err
-
-    def test_bench_unknown_family_clean_error(self, tmp_path, capsys):
-        assert run(["bench", "--families", "bogus", "--n", "10",
-                    "--output", tmp_path / "x.json"]) == 2
-        assert "unknown family" in capsys.readouterr().err
-
-
 class TestTraceFlag:
     def test_solve_trace_writes_jsonl(self, tmp_path, capsys):
         from repro.obs import read_jsonl, trace_enabled
@@ -294,13 +260,10 @@ class TestErrorHygiene:
         assert "fallback-chain" in out
         assert "stage" in out
 
-    def test_bench_timeout_bounds_exact_solver(self, tmp_path, capsys):
-        from repro.obs.bench import load_bench
-
-        out = tmp_path / "BENCH_t.json"
-        assert run(["bench", "--families", "uniform", "--n", "12", "--k", "2",
-                    "--seeds", "0", "--solvers", "greedy,exact",
-                    "--timeout", "1.0", "--output", out]) == 0
-        payload = load_bench(out)
-        assert payload["config"]["timeout_s"] == 1.0
-        assert "exact" in {r["solver"] for r in payload["runs"]}
+    def test_solve_timeout_bounds_exact_anytime(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        run(["generate", "uniform", inst, "--seed", "0",
+             "--params", '{"n": 12, "k": 2}'])
+        assert run(["solve", inst, "--algorithm", "exact-anytime",
+                    "--timeout", "1.0"]) == 0
+        assert "exact-anytime" in capsys.readouterr().out

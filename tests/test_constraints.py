@@ -9,10 +9,13 @@ the online delta layer honor constraints without private recomputation.
 Also pinned here: the no-constraints path stays bit-identical to the
 pre-pipeline code (the eligibility masks *are* the memoized fit-mask
 objects), wire round-trips, fingerprint coverage, partition exactness
-under blockage, and per-event delta patching of constraint masks.
+under blockage, and per-event delta patching of constraint masks.  A
+``slow`` timing gate keeps composition under 10% of the unconstrained
+compile at n = 6e4.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +48,7 @@ from repro.model.serialization import (
     sector_instance_to_dict,
 )
 from repro.model.solution import FeasibilityError
+from repro.obs import get_registry
 from repro.online.delta import (
     AddCustomer,
     DeltaCompiledInstance,
@@ -523,3 +527,32 @@ class TestScenarioGenerator:
         masks = inst.compile().constraint_masks()
         assert masks is not None
         assert any(not mask.all() for mask in masks)
+
+
+@pytest.mark.slow
+class TestComposeOverheadGate:
+    def test_compose_under_10pct_of_unconstrained_compile(self):
+        # n = 6e4: below ~5e4 fixed per-call overheads dominate both timers
+        # and the ratio is noise.  Both sides best-of-3.
+        big = scenario_metro_blockage(n=60_000, towns=12, seed=0)
+        plain = SectorInstance(
+            positions=big.positions, demands=big.demands,
+            profits=big.profits, stations=big.stations,
+        )
+        compile_s = constraints_s = float("inf")
+        registry = get_registry()
+        for _ in range(3):
+            t0 = time.perf_counter()
+            CompiledSectorInstance(plain).eligibility()
+            compile_s = min(compile_s, time.perf_counter() - t0)
+            registry.reset()
+            CompiledSectorInstance(big).eligibility()
+            constraints_s = min(
+                constraints_s,
+                registry.snapshot()["phase.sector.constraints"]["total_s"],
+            )
+        ratio = constraints_s / compile_s
+        assert ratio < 0.10, (
+            f"constraint composition took {ratio:.1%} of the unconstrained "
+            f"compile ({constraints_s * 1e3:.2f} ms vs {compile_s * 1e3:.2f} ms)"
+        )

@@ -8,11 +8,13 @@ sums, eligibility masks) and the content fingerprint.  A hypothesis
 property drives random event streams through both paths and compares
 bitwise at each step; explicit units pin the known-sharp corners
 (duplicate-angle inserts, remove-then-re-add, profit/demand divergence).
-Per-sector result-cache invalidation and the event dict grammar round out
+Per-sector result-cache invalidation, the event dict grammar and a
+``slow`` timing gate (delta apply >= 5x a recompile at n = 3e4) round out
 the file.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engine.cache import RESULT_CACHE, fingerprint
 from repro.geometry.angles import TWO_PI
 from repro.model.antenna import AntennaSpec
+from repro.model.generators import uniform_angles
 from repro.model.instance import AngleInstance, InvalidInstanceError, SectorInstance, Station
 from repro.online.delta import (
     AddCustomer,
@@ -419,3 +422,79 @@ class TestEventGrammar:
                              "theta": 0.5, "frobnicate": True})
         with pytest.raises(ValueError):
             event_from_dict("not a dict")
+
+
+# ----------------------------------------------------------------------
+# Timing gate: delta apply vs from-scratch recompile (slow, smoke-run)
+# ----------------------------------------------------------------------
+def _gate_stream(n, events):
+    """Seeded stream: every 4th event an add, every 4th a remove, the rest
+    demand updates with ``profit == demand`` (the shared-objective path)."""
+    rng = np.random.default_rng(7)
+    stream, live = [], n
+    for i in range(events):
+        if i % 4 == 0:
+            stream.append(AddCustomer(demand=float(rng.uniform(0.5, 2.0)),
+                                      theta=float(rng.uniform(0.0, TWO_PI))))
+            live += 1
+        elif i % 4 == 1:
+            stream.append(RemoveCustomer(index=int(rng.integers(0, live))))
+            live -= 1
+        else:
+            value = float(rng.uniform(0.5, 2.0))
+            stream.append(UpdateDemand(index=int(rng.integers(0, live)),
+                                       demand=value, profit=value))
+    return stream
+
+
+def _recompile_step(inst, event):
+    """The no-delta baseline: patch raw arrays, rebuild, recompile."""
+    thetas, demands = inst.thetas, inst.demands
+    if isinstance(event, AddCustomer):
+        thetas = np.append(thetas, event.theta)
+        demands = np.append(demands, event.demand)
+    elif isinstance(event, RemoveCustomer):
+        thetas = np.delete(thetas, event.index)
+        demands = np.delete(demands, event.index)
+    else:
+        demands = demands.copy()
+        demands[event.index] = event.demand
+    fresh = AngleInstance(thetas=thetas, demands=demands, antennas=inst.antennas)
+    fresh.compile()
+    return fresh
+
+
+@pytest.mark.slow
+class TestTimingGate:
+    def test_delta_apply_is_5x_faster_than_recompile(self):
+        # n = 3e4, 90 events.  One untimed pass per side checks that both
+        # reach the same state and warms the allocator; then best-of-3
+        # interleaved passes, because sub-millisecond applies are
+        # dominated by scheduler noise on shared hardware.
+        seed = uniform_angles(n=30_000, k=3, seed=0)
+        stream = _gate_stream(seed.n, 90)
+
+        def delta_pass():
+            delta = DeltaCompiledInstance(seed)
+            t0 = time.perf_counter()
+            for event in stream:
+                delta.apply(event)
+            return time.perf_counter() - t0, delta.instance
+
+        def recompile_pass():
+            inst = seed
+            t0 = time.perf_counter()
+            for event in stream:
+                inst = _recompile_step(inst, event)
+            return time.perf_counter() - t0, inst
+
+        assert fingerprint(delta_pass()[1]) == fingerprint(recompile_pass()[1])
+        delta_s = recompile_s = float("inf")
+        for _ in range(3):
+            delta_s = min(delta_s, delta_pass()[0])
+            recompile_s = min(recompile_s, recompile_pass()[0])
+        speedup = recompile_s / delta_s
+        assert speedup >= 5.0, (
+            f"delta apply only {speedup:.2f}x faster than recompile "
+            f"({delta_s * 1e3:.1f} ms vs {recompile_s * 1e3:.1f} ms)"
+        )

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import SolveRequest, clear_caches, solve
 from repro.geometry.angles import TWO_PI
 from repro.knapsack import get_solver
+from repro.model import generators as gen
 from repro.model.antenna import AntennaSpec
 from repro.model.instance import SectorInstance, Station
-from repro.model import generators as gen
+from repro.obs.bench import _upper_bound
 from repro.packing.sectors import (
     sector_covered_matrix,
     solve_sector_greedy,
@@ -96,6 +98,23 @@ class TestSectorGreedy:
         # greedy with exact oracle is a 1/2-approx of the optimum *at its own
         # orientations*, which the splittable value upper-bounds
         assert sol.value(inst) >= 0.5 * ub - 1e-6 or sol.value(inst) > 0
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", ["towns", "metro", "scenario"])
+    def test_poly_solvers_never_beat_upper_bound(self, family, seed):
+        # The capacity/density bound perfbench's quality_ratio divides by
+        # must be sound for every polynomial sector solver.
+        inst = gen.SECTOR_FAMILIES[family](n=60, seed=seed)
+        ub = _upper_bound(inst)
+        for algorithm in ("greedy", "independent"):
+            clear_caches()
+            report = solve(SolveRequest(
+                instance=inst, family="sector", algorithm=algorithm,
+                eps=0.5, use_cache=False,
+            ))
+            assert 0.0 < report.value <= ub + 1e-9
 
 
 class TestSectorIndependent:
