@@ -12,7 +12,7 @@ import pytest
 from repro.knapsack import get_solver
 from repro.model import generators as gen
 from repro.packing.multi import solve_greedy_multi
-from repro.parallel import parallel_map, scatter_gather
+from repro.parallel import parallel_map
 
 GREEDY = get_solver("greedy")
 
@@ -22,10 +22,6 @@ def solve_seed(seed: int) -> float:
     return solve_greedy_multi(inst, GREEDY).value(inst)
 
 
-def solve_chunk(seeds) -> float:
-    return sum(solve_seed(s) for s in seeds)
-
-
 SEEDS = list(range(24))
 
 
@@ -33,13 +29,6 @@ def test_e8_results_identical():
     serial = parallel_map(solve_seed, SEEDS, workers=1)
     par = parallel_map(solve_seed, SEEDS, workers=2)
     assert serial == par
-
-
-def test_e8_scatter_gather_matches_map():
-    chunks = [SEEDS[i : i + 6] for i in range(0, len(SEEDS), 6)]
-    gathered = scatter_gather(solve_chunk, chunks, workers=2)
-    flat = parallel_map(solve_seed, SEEDS, workers=1)
-    assert sum(gathered) == pytest.approx(sum(flat))
 
 
 def test_e8_serial(benchmark):

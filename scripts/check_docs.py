@@ -5,7 +5,7 @@ Run from the repo root (``scripts/smoke.sh`` does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Seven checks, all hard failures:
+Eight checks, all hard failures:
 
 1. **Docstring coverage** — every public module under ``repro`` and every
    public top-level class/function in it carries a docstring (100%, no
@@ -32,6 +32,11 @@ Seven checks, all hard failures:
    ``repro.model.constraints.CONSTRAINT_KINDS`` is documented (as a
    ``code span``) in ``docs/SCENARIOS.md``, so the constraint grammar
    there can never silently fall behind the wire registry.
+8. **Unused imports** — no module-level import in ``src/``, ``tests/`` or
+   ``scripts/`` goes unused (ruff's F401, re-checked with the stdlib
+   ``ast`` so the contract holds where ruff is not installed; package
+   ``__init__.py`` files re-export and are skipped, as in the
+   ``per-file-ignores`` of ``pyproject.toml``).
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
@@ -278,6 +283,84 @@ def check_constraint_docs(problems: list) -> int:
     return checked
 
 
+def _annotation_names(node: ast.AST) -> set:
+    """Names used inside an annotation, including quoted (string) ones."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name a module reads: loads, annotation strings, ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            used.update(e.value for e in node.value.elts
+                        if isinstance(e, ast.Constant))
+    return used
+
+
+def _module_imports(tree: ast.Module):
+    """Yield ``(bound_name, lineno)`` for each module-level import."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(node.body + node.orelse)
+            stack.extend(getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                stack.extend(handler.body)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                yield name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def check_unused_imports(problems: list) -> int:
+    """Every module-level import outside ``__init__.py`` must be used."""
+    checked = 0
+    for top in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            tree = ast.parse(text)
+            lines = text.splitlines()
+            used = _used_names(tree)
+            for name, lineno in _module_imports(tree):
+                checked += 1
+                if name in used or "noqa" in lines[lineno - 1]:
+                    continue
+                problems.append(
+                    f"import: {path.relative_to(ROOT)}:{lineno} imports "
+                    f"{name!r} but never uses it"
+                )
+    return checked
+
+
 def main() -> int:
     problems: list = []
     symbols = check_docstrings(problems)
@@ -287,13 +370,14 @@ def main() -> int:
     solvers = check_registry_docs(problems)
     ops = check_wire_ops(problems)
     kinds = check_constraint_docs(problems)
+    imports = check_unused_imports(problems)
     for p in problems:
         print(p, file=sys.stderr)
     print(
         f"check_docs: {symbols} public symbols, {metrics} metric mentions, "
         f"{flags} flag mentions, {links} links checked, "
         f"{solvers} registered solvers checked, {ops} wire ops checked, "
-        f"{kinds} constraint kinds checked, "
+        f"{kinds} constraint kinds checked, {imports} imports checked, "
         f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0

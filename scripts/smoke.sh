@@ -27,7 +27,8 @@ python -m pytest -x -q -m slow -o addopts="" \
 
 echo "== docs lint =="
 # 100% public docstring coverage; every metric name, CLI flag and relative
-# link mentioned in docs/ + README must exist (docs/INDEX.md conventions).
+# link mentioned in docs/ + README must exist (docs/INDEX.md conventions);
+# no unused module-level import in src/, tests/, scripts/ (F401, no ruff needed).
 python scripts/check_docs.py
 
 echo "== ruff lint =="
@@ -72,12 +73,14 @@ fi
 python -m repro solve "$inst" --algorithm exact-anytime --timeout 1.0
 
 echo "== service smoke =="
-# Serve on a unix socket, solve through the client, drain on SIGTERM
-# (docs/SERVICE.md): the server must answer while up and exit 0 on drain.
+# Serve on a unix socket with the default supervised worker pool, solve
+# through the client, drain on SIGTERM (docs/SERVICE.md): the server must
+# answer while up and exit 0 on drain.  The socket appears once the
+# workers are up, so the wait matches the chaos smoke below.
 sock="$tmp/repro.sock"
 python -m repro serve --port 0 --unix "$sock" &
 serve_pid=$!
-for _ in $(seq 1 50); do
+for _ in $(seq 1 100); do
     [ -S "$sock" ] && break
     sleep 0.1
 done

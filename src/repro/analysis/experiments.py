@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RunRecord, summarize, timed
 from repro.analysis.tables import format_table
-from repro.model.instance import AngleInstance
 
 
 @dataclass(frozen=True)

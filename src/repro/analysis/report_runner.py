@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

@@ -18,7 +18,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.geometry.angles import TWO_PI
 from repro.geometry.sweep import CircularSweep
 from repro.model.instance import AngleInstance
 

@@ -13,9 +13,7 @@ Example output (width 64)::
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.geometry.angles import TWO_PI
 from repro.model.instance import AngleInstance

@@ -309,10 +309,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     chaos = None
     if args.chaos is not None:
-        if args.workers is None:
-            print("error: --chaos requires --workers (faults are injected "
-                  "into supervised workers)", file=sys.stderr)
-            return EXIT_USAGE
         from repro.resilience.chaos import ChaosPolicy
 
         try:
@@ -552,19 +548,20 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--unix", metavar="PATH",
                     help="also listen on this Unix socket path")
     sv.add_argument("--max-batch", type=int, default=16,
-                    help="most requests one solve_many dispatch carries")
+                    help="most requests one batch dispatch carries")
     sv.add_argument("--flush-ms", type=float, default=5.0,
                     help="micro-batch flush interval in milliseconds")
     sv.add_argument("--queue-bound", type=int, default=256,
                     help="admission limit; excess requests are shed (status 5)")
     sv.add_argument("--workers", type=int,
-                    help="run N supervised engine worker subprocesses with "
-                         "shard routing and crash recovery (default: solve "
-                         "in-process via the batch thread)")
+                    help="number of supervised engine worker subprocesses "
+                         "that solve every batch, with shard routing and "
+                         "crash recovery (default: REPRO_WORKERS, else the "
+                         "CPU count)")
     sv.add_argument("--chaos", metavar="SPEC",
                     help="deterministic service fault injection into the "
                          "workers, e.g. 'seed=7,kill_rate=0.2,corrupt_rate="
-                         "0.1'; requires --workers (docs/RESILIENCE.md)")
+                         "0.1' (docs/RESILIENCE.md)")
     sv.set_defaults(fn=cmd_serve)
 
     cl = sub.add_parser(

@@ -16,9 +16,9 @@ shared prefix, built once and memoized at three levels:
 * per instance *object* via ``Instance.compile()`` (model layer);
 * per instance *content fingerprint* via
   :func:`repro.engine.cache.shared_compiled` (engine layer), so batched
-  ``solve_many`` calls and the service's micro-batcher compile each
-  distinct instance exactly once — observable through the
-  ``engine.compile.*`` metrics.
+  ``solve_many`` calls and each service worker compile each distinct
+  instance exactly once — observable through the ``engine.compile.*``
+  metrics.
 
 Everything a compiled view hands out is either read-only or freshly
 derived, and every derived quantity is *bit-identical* to what the solvers

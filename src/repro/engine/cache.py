@@ -7,9 +7,9 @@ Two process-wide LRU caches keyed by **content**, not identity:
 * the **compile cache** memoizes the
   :class:`~repro.core.compiled.CompiledInstance` view — the sorted-angle
   permutations, demand/profit prefix sums, shared sweeps and candidate
-  grids that every solver consumes — so ``solve_many`` batches and the
-  service's micro-batcher compile each distinct instance once, no matter
-  how many requests reference equal content.
+  grids that every solver consumes — so ``solve_many`` batches and each
+  service worker compile each distinct instance once, no matter how many
+  requests reference equal content.
 
 Keying is a SHA-256 over the canonical content: array bytes plus the
 antenna/station scalars, via :func:`fingerprint`.  Two instances with

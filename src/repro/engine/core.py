@@ -291,9 +291,9 @@ def cache_probe(request: SolveRequest) -> Optional[SolveReport]:
 def cache_store(request: SolveRequest, report: SolveReport) -> bool:
     """Insert a completed report into this process's result cache.
 
-    The counterpart of :func:`cache_probe`: after ``solve_many`` fans a
-    batch to worker processes, the parent stores the returned reports so
-    later identical requests hit the warm cache.  Error reports, budgeted
+    The counterpart of :func:`cache_probe`: after a batch is fanned out
+    to worker processes, the parent stores the returned reports so later
+    identical requests hit the warm cache.  Error reports, budgeted
     solves and uncacheable families are skipped; returns whether the
     report was stored.
     """

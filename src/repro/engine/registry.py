@@ -23,7 +23,7 @@ fails ``scripts/smoke.sh``.  Contract: ``docs/ENGINE.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-import numpy as np
-
 from repro.geometry.angles import TWO_PI, ccw_delta, normalize_angle
 from repro.geometry.arcs import Arc
 

@@ -11,7 +11,7 @@ live in :mod:`repro.model.antenna`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np

@@ -30,7 +30,7 @@ fully reproducible.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

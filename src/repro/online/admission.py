@@ -36,15 +36,14 @@ how far above it the policies land.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.arcs import Arc
 from repro.model.antenna import AntennaSpec
 from repro.model.instance import AngleInstance
-from repro.model.solution import AngleSolution
 from repro.packing.exact import solve_exact_fixed_orientations
 from repro.packing.flow import splittable_value
 

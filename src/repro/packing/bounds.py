@@ -19,8 +19,6 @@ Bounds (each is proved in its docstring):
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.model.instance import AngleInstance
 from repro.packing.single import best_rotation_fractional
 

@@ -32,11 +32,11 @@ integer multiple ``j`` of ``rho`` with ``|j| <= k - 1``, giving the grid
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.angles import TWO_PI, normalize_angles
+from repro.geometry.angles import normalize_angles
 
 
 def canonical_starts(thetas: Sequence[float] | np.ndarray) -> np.ndarray:

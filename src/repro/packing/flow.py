@@ -17,7 +17,7 @@ experiment E6 (splittable-vs-unsplittable gap).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np

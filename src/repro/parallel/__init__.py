@@ -4,7 +4,6 @@ from repro.parallel.pool import (
     PipeWorker,
     WorkerCrashed,
     parallel_map,
-    scatter_gather,
     worker_count,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "PipeWorker",
     "WorkerCrashed",
     "parallel_map",
-    "scatter_gather",
     "worker_count",
 ]

@@ -1,21 +1,13 @@
 """Chunked process-pool map with graceful serial fallback and crash recovery.
 
-The HPC guides for this project teach two execution models: MPI-style
-scatter/gather (mpi4py) and JIT-compiled kernels (numba).  Neither package
-is available in this offline environment, so the library provides the same
-*shape* of API on top of :mod:`concurrent.futures`:
-
-* :func:`parallel_map` -- order-preserving map over items, chunked to
-  amortize pickling overhead (the process-pool analogue of
-  ``comm.scatter`` / ``comm.gather``);
-* :func:`scatter_gather` -- explicit scatter/gather over pre-made chunks,
-  mirroring the mpi4py tutorial idiom for code that wants to control the
-  decomposition itself.
-
-Both degrade to serial execution when ``workers <= 1``, when the item
+:func:`parallel_map` is an order-preserving map over items, chunked to
+amortize pickling overhead (the process-pool analogue of MPI's
+``comm.scatter`` / ``comm.gather``, built on :mod:`concurrent.futures`).
+It degrades to serial execution when ``workers <= 1``, when the item
 count is tiny, or when the callable is not picklable (lambdas/closures) —
-so callers never need a code path split.  Worker count resolution order:
-explicit argument, ``REPRO_WORKERS`` environment variable, CPU count.
+so callers never need a code path split.  Worker count resolution order
+(:func:`worker_count`): explicit argument, ``REPRO_WORKERS`` environment
+variable, CPU count.
 
 **Crash recovery** (resilience contract, ``docs/RESILIENCE.md``): each
 chunk is submitted as its own future, so one dying worker (segfault,
@@ -24,11 +16,9 @@ poisoned chunk (``chunk_timeout_s``) only loses *its* chunks.  Failed
 chunks are re-run **serially in the parent**, which recovers both crashes
 and transient worker-only faults (the chaos harness injects faults only in
 worker pids for exactly this reason).  A chunk whose serial re-run *also*
-fails raises by default; ``scatter_gather(..., allow_partial=True)``
-instead records ``None`` for that chunk and returns the rest.  Events are
-counted in the ``parallel.*`` metrics.
+fails raises.  Events are counted in the ``parallel.*`` metrics.
 
-**Long-lived workers**: :class:`PipeWorker` is the third primitive — a
+**Long-lived workers**: :class:`PipeWorker` is the second primitive — a
 supervised subprocess speaking framed-pickle request/response over a
 duplex pipe, built for callers that need worker *affinity* (warm
 per-process caches) rather than stateless chunk fan-out.  Every failure
@@ -47,7 +37,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs.metrics import get_registry
 
@@ -96,13 +86,11 @@ def _run_chunked(
     chunk_args: List,
     workers: int,
     chunk_timeout_s: Optional[float],
-    allow_partial: bool,
 ) -> List:
     """Run ``fn`` over ``chunk_args`` with crash/timeout recovery.
 
     Returns per-chunk results in order.  Failed chunks are re-run serially
-    in the parent; a chunk that fails even serially raises (or yields
-    ``None`` under ``allow_partial``).
+    in the parent; a chunk that fails even serially raises.
     """
     m = len(chunk_args)
     results: List = [None] * m
@@ -137,12 +125,9 @@ def _run_chunked(
         _SERIAL_RETRIES.inc()
         try:
             results[i] = fn(chunk_args[i])
-            done[i] = True
         except Exception:
             _FAILED_CHUNKS.inc()
-            if not allow_partial:
-                raise
-            results[i] = None
+            raise
     return results
 
 
@@ -174,49 +159,11 @@ def parallel_map(
         [(fn, c) for c in chunks],
         workers=w,
         chunk_timeout_s=chunk_timeout_s,
-        allow_partial=False,
     )
     results: List[R] = []
     for part in parts:
         results.extend(part)
     return results
-
-
-def scatter_gather(
-    fn: Callable[[Sequence[T]], R],
-    chunks: Iterable[Sequence[T]],
-    workers: Optional[int] = None,
-    chunk_timeout_s: Optional[float] = None,
-    allow_partial: bool = False,
-) -> List[R]:
-    """Apply ``fn`` to each pre-made chunk and gather results in order.
-
-    The mpi4py-tutorial idiom: the caller decides the decomposition,
-    ``fn`` processes one chunk, results come back rank-ordered.  Crashed
-    or timed-out chunks are re-run serially; with ``allow_partial=True`` a
-    chunk that fails even serially yields ``None`` in its slot instead of
-    raising (partial results beat no results for bench sweeps).
-    """
-    chunk_list = [list(c) for c in chunks]
-    w = worker_count(workers)
-    if w <= 1 or len(chunk_list) <= 1 or not _is_picklable(fn):
-        out: List[R] = []
-        for c in chunk_list:
-            try:
-                out.append(fn(c))
-            except Exception:
-                _FAILED_CHUNKS.inc()
-                if not allow_partial:
-                    raise
-                out.append(None)  # type: ignore[arg-type]
-        return out
-    return _run_chunked(
-        fn,
-        chunk_list,
-        workers=w,
-        chunk_timeout_s=chunk_timeout_s,
-        allow_partial=allow_partial,
-    )
 
 
 class WorkerCrashed(RuntimeError):

@@ -3,10 +3,10 @@
 The first *serving* layer over the one-shot library: a stdlib-only
 asyncio JSON-lines server that accepts :class:`~repro.engine.SolveRequest`
 -shaped envelopes over TCP or a Unix socket and routes them through
-:mod:`repro.engine` — micro-batched onto ``solve_many`` over the hardened
-process pool, with admission control, per-request deadlines mapped onto
-resilience budgets, warm parent-process caches, and a graceful
-SIGTERM drain.  The wire protocol, status codes (the CLI exit-code
+:mod:`repro.engine` — micro-batched onto a supervised pool of long-lived
+engine worker subprocesses, with admission control, per-request
+deadlines mapped onto resilience budgets, a warm service-side result
+cache, and a graceful SIGTERM drain.  The wire protocol, status codes (the CLI exit-code
 contract plus ``5`` = shed), batching semantics and ``service.*`` metric
 names are frozen in ``docs/SERVICE.md``.
 
@@ -15,9 +15,10 @@ Five pieces:
 * :mod:`repro.service.protocol` — envelopes, status codes, encode/decode;
 * :mod:`repro.service.batcher` — the bounded queue + coalescing dispatcher;
 * :mod:`repro.service.workers` / :mod:`repro.service.supervisor` — the
-  supervised engine-worker pool (``serve --workers N``): shard routing by
-  content fingerprint, heartbeat probes, backoff restarts, per-worker
-  circuit breakers, redispatch and in-process degraded fallback;
+  supervised engine-worker pool that solves every batch: shard routing
+  by content fingerprint, heartbeat probes, backoff restarts, per-worker
+  circuit breakers, redispatch and a degraded fallback that solves in
+  the service process while no worker is up;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
   server (``repro-sectors serve``) and the blocking pipelined client
   (``repro-sectors client``, reconnect-with-backoff built in).

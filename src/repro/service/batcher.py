@@ -1,36 +1,26 @@
-"""The micro-batcher: coalesce queued solve requests into engine batches.
+"""The micro-batcher: coalesce queued requests into dispatched batches.
 
 The serving hot path (``docs/SERVICE.md``): connections enqueue
-:class:`~repro.engine.SolveRequest`s onto one bounded :class:`asyncio.Queue`
-(admission control — a full queue sheds with status ``5``), and a single
-dispatcher task drains it into batches of up to ``max_batch`` requests,
-waiting at most ``flush_interval_s`` for stragglers after the first
-arrival.  Each batch runs off the event loop on a dedicated worker thread:
+:class:`~repro.engine.SolveRequest`s (and event requests) onto one
+bounded :class:`asyncio.Queue`, and a single dispatcher task drains it
+into batches for the async dispatch callable the batcher was built with
+— the supervised worker pool's
+:meth:`~repro.service.supervisor.WorkerSupervisor.solve_batch` when
+serving.  The batcher does three jobs and nothing else:
 
-1. **deadline shedding** — a request whose end-to-end deadline already
-   passed while queued is answered with status ``4`` without solving;
-   live requests get their ``timeout_s`` rewritten to the *remaining*
-   allowance, which the engine turns into a cooperative resilience
-   ``Budget``;
-2. **warm-cache serving** — :func:`repro.engine.cache_probe` answers
-   repeat requests from the parent-process result cache (worker processes
-   have their own cold caches, so probing before the fan-out is what makes
-   a long-lived service amortize anything);
-3. **in-batch dedup** — identical cacheable requests in one batch solve
-   once and share the report;
-4. **compile prewarm** — each distinct instance among the surviving
-   misses is compiled once into the parent's fingerprint-keyed compile
-   cache (:func:`repro.engine.cache.shared_compiled`), so serial batch
-   solves share one :class:`~repro.core.compiled.CompiledInstance` per
-   distinct instance instead of compiling per request;
-5. **batched fan-out** — the remaining misses go through
-   :func:`repro.engine.solve_many` over the hardened process pool, and the
-   returned reports are stored back into the parent cache
-   (:func:`repro.engine.cache_store`).
+1. **admission** — a full (or draining) queue sheds with status ``5``;
+2. **coalescing** — batches of up to ``max_batch`` requests, waiting at
+   most ``flush_interval_s`` for stragglers after the first arrival;
+3. **deadline shedding** — a request whose end-to-end deadline already
+   passed while queued is answered with status ``4`` without being
+   dispatched; live requests get their ``timeout_s`` rewritten to the
+   *remaining* allowance, which the engine turns into a cooperative
+   resilience ``Budget``.
 
-Queue depth, batch occupancy, shed/expired counts and end-to-end latency
-quantiles are reported through the standard metrics registry under the
-``service.*`` names frozen in ``docs/SERVICE.md``.
+Cache probing, dedup and solving belong to the dispatcher.  Queue depth,
+batch occupancy, shed/expired counts and end-to-end latency quantiles are
+reported through the standard metrics registry under the ``service.*``
+names frozen in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -38,13 +28,12 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import List, Optional, Tuple
+from typing import Awaitable, Callable, List, Optional
 
-from repro.engine import SolveReport, SolveRequest, cache_probe, cache_store
-from repro.engine.core import _resolve  # shared resolution, see engine docs
+from repro.engine import SolveReport, SolveRequest
 from repro.obs.metrics import get_registry
 
-__all__ = ["Overloaded", "MicroBatcher", "run_batch"]
+__all__ = ["Overloaded", "MicroBatcher"]
 
 _REG = get_registry()
 _REQUESTS = _REG.counter("service.requests")
@@ -52,7 +41,6 @@ _RESPONSES = _REG.counter("service.responses")
 _SHED = _REG.counter("service.shed")
 _EXPIRED = _REG.counter("service.expired")
 _BATCHES = _REG.counter("service.batches")
-_CACHE_SERVED = _REG.counter("service.cache_served")
 _OCCUPANCY = _REG.gauge("service.batch_occupancy")
 _QUEUE_DEPTH = _REG.gauge("service.queue_depth")
 _LATENCY = _REG.histogram("service.latency")
@@ -77,162 +65,33 @@ class _Pending:
     deadline: Optional[float]
 
 
-def _probe(request: SolveRequest) -> Optional[SolveReport]:
-    """Parent-cache probe that never raises (a bad request is a miss —
-    ``solve_many`` will produce the proper error report)."""
-    try:
-        return cache_probe(request)
-    except Exception:  # noqa: BLE001 - probe must not sink the batch
-        return None
-
-
-def _dedup_key(request: SolveRequest) -> Optional[Tuple]:
-    """In-batch dedup key: the resolved result-cache key, or ``None``.
-
-    Only cacheable requests dedup (a budgeted or ``use_cache=False``
-    request must run on its own); resolution failures fall through to
-    ``solve_many`` for a proper error report.
-    """
-    from repro.engine.cache import result_key
-    from repro.engine.core import _cacheable
-
-    try:
-        family, algorithm, _ = _resolve(request)
-        if not _cacheable(request, family):
-            return None
-        return result_key(request.instance, family, algorithm,
-                          request.eps, request.seed)
-    except Exception:  # noqa: BLE001
-        return None
-
-
-def _plan_batch(
-    requests: List[SolveRequest],
-) -> Tuple[List[Optional[SolveReport]], List[int], List[Tuple[int, int]]]:
-    """Shared batch front half: parent-cache probe + in-batch dedup.
-
-    Returns ``(reports, unique, alias)``: ``reports`` with cache hits
-    already filled (``None`` elsewhere), ``unique`` the indices that must
-    actually solve, and ``alias`` the ``(duplicate, source)`` index pairs
-    that will copy their source's report.  Both the in-process
-    :func:`run_batch` path and the supervised shard dispatcher
-    (:mod:`repro.service.supervisor`) start from this plan, so dedup
-    semantics cannot drift between the two.
-    """
-    reports: List[Optional[SolveReport]] = [None] * len(requests)
-    miss_keys: dict = {}
-    unique: List[int] = []
-    alias: List[Tuple[int, int]] = []
-    for i, request in enumerate(requests):
-        hit = _probe(request)
-        if hit is not None:
-            _CACHE_SERVED.inc()
-            reports[i] = hit
-            continue
-        key = _dedup_key(request)
-        if key is not None and key in miss_keys:
-            alias.append((i, miss_keys[key]))
-            continue
-        if key is not None:
-            miss_keys[key] = i
-        unique.append(i)
-    return reports, unique, alias
-
-
-def _fill_aliases(
-    reports: List[Optional[SolveReport]],
-    requests: List[SolveRequest],
-    alias: List[Tuple[int, int]],
-) -> List[SolveReport]:
-    """Shared batch back half: copy dedup sources into their duplicates.
-
-    Completes the plan from :func:`_plan_batch` and compacts the report
-    list (every request is expected to have a report by now).
-    """
-    for i, j in alias:
-        source = reports[j]
-        assert source is not None
-        reports[i] = dataclasses.replace(
-            source, label=requests[i].label, cached=True
-        )
-    return [r for r in reports if r is not None]
-
-
-def run_batch(
-    requests: List[SolveRequest], workers: Optional[int] = None
-) -> List[SolveReport]:
-    """Solve one coalesced batch (synchronous; runs on the batch thread).
-
-    Probe the warm parent cache first, dedup identical cacheable misses,
-    fan the unique misses through :func:`repro.engine.solve_many`, then
-    store the fresh results back into the parent cache.  Order-preserving;
-    every request gets a report (failures as ``error`` reports).
-
-    Event requests (:class:`~repro.service.events.EventRequest`) ride the
-    same queue but are never probed, deduped or fanned out — they mutate
-    session state, so they execute in admission order on the batch thread
-    against this process's session table.
-    """
-    reports, unique, alias = _plan_batch(requests)
-    if unique:
-        from repro.service.events import EventRequest, execute_event
-
-        event_idx = [i for i in unique if isinstance(requests[i], EventRequest)]
-        solve_idx = [i for i in unique if not isinstance(requests[i], EventRequest)]
-        for i in event_idx:
-            reports[i] = execute_event(requests[i])
-        if solve_idx:
-            from repro.engine import solve_many
-            from repro.engine.cache import shared_compiled
-
-            # Prewarm the parent compile cache: one CompiledInstance per
-            # distinct instance in the batch.  Serial solves (the
-            # < 4-request fallback and workers=1) then hit it instead of
-            # recompiling per request; knapsack triples and other
-            # unfingerprintable payloads are skipped.
-            for i in solve_idx:
-                try:
-                    shared_compiled(requests[i].instance)
-                except TypeError:
-                    continue
-            solved = solve_many([requests[i] for i in solve_idx], workers=workers)
-            for i, report in zip(solve_idx, solved):
-                reports[i] = report
-                cache_store(requests[i], report)
-    return _fill_aliases(reports, requests, alias)
-
-
 class MicroBatcher:
     """Bounded admission queue + one dispatcher coalescing into batches.
 
     Parameters
     ----------
+    dispatch:
+        ``async`` callable taking the list of live requests (deadlines
+        already rewritten to remaining time) and returning the
+        order-matched :class:`~repro.engine.SolveReport` list.  It must
+        not raise for per-request failures (return error reports
+        instead); a raise is answered as a whole-batch internal error.
     max_batch:
-        Most requests one ``solve_many`` dispatch carries.
+        Most requests one dispatch carries.
     flush_interval_s:
         How long the dispatcher waits for more requests after the first
         one arrives before flushing a partial batch.
     queue_bound:
         Admission limit; :meth:`submit` raises :class:`Overloaded` when
         the queue is full.
-    workers:
-        Worker-process count forwarded to ``solve_many`` (``None`` =
-        resolve from ``REPRO_WORKERS`` / CPU count).  Ignored when a
-        custom dispatcher is installed via :meth:`set_dispatcher`.
-
-    By default each batch runs through :func:`run_batch` on an executor
-    thread; :meth:`set_dispatcher` swaps in an *async* dispatcher instead
-    (the supervised worker pool installs its shard router here), keeping
-    admission control, deadline shedding, and coalescing identical across
-    serving modes.
     """
 
     def __init__(
         self,
+        dispatch: Callable[[List[SolveRequest]], Awaitable[List[SolveReport]]],
         max_batch: int = 16,
         flush_interval_s: float = 0.005,
         queue_bound: int = 256,
-        workers: Optional[int] = None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -241,26 +100,12 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.flush_interval_s = float(flush_interval_s)
         self.queue_bound = int(queue_bound)
-        self.workers = workers
         self._queue: "asyncio.Queue[Optional[_Pending]]" = asyncio.Queue(
             maxsize=queue_bound + 1  # +1 keeps room for the close sentinel
         )
         self._depth = 0
         self._closed = False
-        self._dispatcher = None
-
-    def set_dispatcher(self, dispatcher) -> None:
-        """Install an async batch dispatcher replacing :func:`run_batch`.
-
-        ``dispatcher`` is an ``async`` callable taking the list of live
-        :class:`~repro.engine.SolveRequest`s (deadlines already rewritten
-        to remaining time) and returning the order-matched
-        :class:`~repro.engine.SolveReport` list.  It must not raise for
-        per-request failures (return error reports instead); a raise is
-        treated as a whole-batch internal error.  Pass ``None`` to restore
-        the default in-process path.
-        """
-        self._dispatcher = dispatcher
+        self._dispatcher = dispatch
 
     # ------------------------------------------------------------------
     # Admission (event-loop side)
@@ -356,7 +201,7 @@ class MicroBatcher:
         return batch
 
     async def _dispatch(self, batch: List[_Pending]) -> None:
-        """Shed expired requests, solve the rest on the batch thread."""
+        """Shed expired requests, hand the rest to the dispatcher."""
         if not batch:
             return
         self._depth -= len(batch)
@@ -386,14 +231,8 @@ class MicroBatcher:
             return
         _BATCHES.inc()
         _OCCUPANCY.set(len(live))
-        loop = asyncio.get_running_loop()
         try:
-            if self._dispatcher is not None:
-                reports = await self._dispatcher(solves)
-            else:
-                reports = await loop.run_in_executor(
-                    None, run_batch, solves, self.workers
-                )
+            reports = await self._dispatcher(solves)
         except Exception as exc:  # noqa: BLE001 - keep the service alive
             for pending in live:
                 self._finish(

@@ -7,7 +7,7 @@ over TCP or a Unix socket.  Two calling styles:
   :meth:`shutdown` send one envelope and block for its answer;
 * **pipelined** — :meth:`solve_batch` writes every request before reading
   any response, which is what lets the server's micro-batcher coalesce
-  them into one ``solve_many`` dispatch (responses are matched back into
+  them into one batch dispatch (responses are matched back into
   submission order by ``id``, since the server answers out of order).
 
 The client never deserializes solutions eagerly: responses are plain
@@ -296,7 +296,7 @@ class ServiceClient:
         """Pipeline many solves at once; returns responses in input order.
 
         Writing every envelope before reading any response is what lets
-        the server coalesce the burst into ``solve_many`` batches — use
+        the server coalesce the burst into batches — use
         this (or many concurrent connections) to hit batched throughput.
         Shared ``options`` (``algorithm=...``, ``timeout_s=...``,
         ``want_solution=...``) apply to every request.

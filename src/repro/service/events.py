@@ -6,17 +6,17 @@ living in the process that answers — and carries a list of
 add/remove/update events to apply, plus an optional ``resolve`` spec to
 solve the post-event instance in the same round trip.
 
-Sessions are sticky by design: the supervised tier shards an
+Sessions are sticky by design: the supervised worker pool shards an
 :class:`EventRequest` by its session name (the ``instance`` property below
 feeds the same ``shard_key`` routing the solve path uses), so every event
 for a session lands on the one worker holding its delta view, and the
-patched compiled view never crosses a process boundary.  Single-process
-servers hold all sessions in one table.
+patched compiled view never crosses a process boundary.  The service
+process holds no sessions: with no worker up, an event op is refused
+with status ``5`` rather than run against a second copy.
 
-``execute_request`` is the dispatch seam the batcher, the in-process
-degraded path and the worker main loop share: event requests run through
-:func:`execute_event`, everything else through the engine's
-``_solve_worker``.
+``execute_request`` is the worker main loop's dispatch seam: event
+requests run through :func:`execute_event`, everything else through the
+engine's ``_solve_worker``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class EventRequest:
     :class:`~repro.engine.SolveRequest` the batching machinery touches:
     ``timeout_s`` (deadline rewriting via ``dataclasses.replace``),
     ``family`` / ``algorithm`` / ``label`` (whole-batch error reports),
-    ``use_cache`` (the parent's ``cache_store`` pass — always ``False``
+    ``use_cache`` (the service's ``cache_store`` pass — always ``False``
     here, results of a mutating op are not cacheable).
     """
 

@@ -64,6 +64,7 @@ _ERROR_STATUS = {
     "ValueError": STATUS_USAGE,
     "KeyError": STATUS_USAGE,
     "TypeError": STATUS_USAGE,
+    "WorkerUnavailable": STATUS_OVERLOADED,
 }
 
 #: Envelope fields a ``solve`` request may carry besides ``op``/``id``.
@@ -263,8 +264,8 @@ def report_to_response(
 ) -> Dict[str, Any]:
     """Render a :class:`SolveReport` as a wire response envelope.
 
-    ``batch_size`` is how many requests rode the same ``solve_many``
-    dispatch (1 for a cache hit) — the observable the coalescing tests
+    ``batch_size`` is how many requests rode the same batch dispatch
+    (1 for a cache hit) — the observable the coalescing tests
     and the repository benchmark read.  ``include_solution`` attaches the serialized
     solution for angle/sector families (other families' native results
     are summarized by ``value``/``extra`` only).

@@ -5,9 +5,11 @@ long-lived front end that turns the one-shot engine
 (:mod:`repro.engine`) into a request-driven server — connections speak
 the :mod:`repro.service.protocol` envelopes, solves funnel through the
 :class:`~repro.service.batcher.MicroBatcher` (admission control,
-deadline shedding, warm parent caches, ``solve_many`` fan-out), and
-SIGTERM/SIGINT trigger a graceful drain: stop accepting, answer
-everything admitted, then exit 0.
+coalescing, deadline shedding) into the supervised engine-worker pool
+(:class:`~repro.service.supervisor.WorkerSupervisor`: warm service-side
+result cache, shard routing, crash recovery), and SIGTERM/SIGINT trigger
+a graceful drain: stop accepting, answer everything admitted, stop the
+workers, then exit 0.
 
 Connections may **pipeline**: each ``solve`` line spawns its own response
 task, so one connection's queued requests coalesce into batches; matching
@@ -29,6 +31,7 @@ import time
 from typing import Any, Dict, Optional, Set
 
 from repro.obs.metrics import get_registry
+from repro.parallel import worker_count
 from repro.resilience.chaos import ChaosPolicy
 from repro.service import protocol
 from repro.service.batcher import MicroBatcher, Overloaded
@@ -53,15 +56,16 @@ class SolverService:
     ``AF_UNIX`` listener, and the batching/backpressure knobs forwarded
     to :class:`~repro.service.batcher.MicroBatcher`.
 
-    ``workers=N`` engages the **supervised worker pool**: N engine
-    subprocesses behind a :class:`~repro.service.supervisor.WorkerSupervisor`
-    (shard routing, crash recovery, circuit breakers — ``docs/SERVICE.md``),
-    installed as the batcher's dispatcher.  ``workers=None`` keeps the
-    classic in-process path (batches run through ``solve_many`` on the
-    batch thread).  ``chaos`` ships a deterministic
-    :class:`~repro.resilience.chaos.ChaosPolicy` to the workers (fault
-    drills; requires ``workers``), and ``supervisor_options`` forwards
-    extra keyword tuning to the supervisor (timeouts, backoff, breaker).
+    Every batch is solved by the **supervised worker pool**: ``workers``
+    engine subprocesses behind a
+    :class:`~repro.service.supervisor.WorkerSupervisor` (shard routing,
+    crash recovery, circuit breakers — ``docs/SERVICE.md``) whose
+    ``solve_batch`` is the batcher's dispatcher.  ``workers=None``
+    resolves through :func:`repro.parallel.worker_count`
+    (``REPRO_WORKERS``, then the CPU count).  ``chaos`` ships a
+    deterministic :class:`~repro.resilience.chaos.ChaosPolicy` to the
+    workers (fault drills), and ``supervisor_options`` forwards extra
+    keyword tuning to the supervisor (timeouts, backoff, breaker).
     """
 
     def __init__(
@@ -77,26 +81,20 @@ class SolverService:
         max_line_bytes: int = MAX_LINE_BYTES,
         supervisor_options: Optional[Dict[str, Any]] = None,
     ):
-        if chaos is not None and workers is None:
-            raise ValueError("chaos injection requires a supervised worker "
-                             "pool (pass workers=N)")
         self.host = host
         self.port = int(port)
         self.unix_path = unix_path
-        self.workers = None if workers is None else int(workers)
+        self.workers = worker_count() if workers is None else int(workers)
         self.max_line_bytes = int(max_line_bytes)
+        self._supervisor = WorkerSupervisor(
+            workers=self.workers, chaos=chaos, **(supervisor_options or {}),
+        )
         self._batcher = MicroBatcher(
+            self._supervisor.solve_batch,
             max_batch=max_batch,
             flush_interval_s=flush_interval_s,
             queue_bound=queue_bound,
-            workers=None if workers is not None else workers,
         )
-        self._supervisor: Optional[WorkerSupervisor] = None
-        if workers is not None:
-            self._supervisor = WorkerSupervisor(
-                workers=int(workers), chaos=chaos,
-                **(supervisor_options or {}),
-            )
         self._batcher_task: Optional[asyncio.Task] = None
         self._servers: list = []
         self._conn_tasks: Set[asyncio.Task] = set()
@@ -110,14 +108,12 @@ class SolverService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listeners and start the dispatcher (and worker pool)."""
+        """Start the worker pool and the dispatcher, then bind the listeners."""
         self._stopped = asyncio.Event()
         self._started_at = time.monotonic()
-        if self._supervisor is not None:
-            # Workers come up before the listeners so the first admitted
-            # request already has a routable shard owner.
-            await self._supervisor.start()
-            self._batcher.set_dispatcher(self._supervisor.solve_batch)
+        # Workers come up before the listeners so the first admitted
+        # request already has a routable shard owner.
+        await self._supervisor.start()
         self._batcher_task = asyncio.create_task(self._batcher.run())
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
@@ -166,8 +162,7 @@ class SolverService:
             await self._batcher_task
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        if self._supervisor is not None:
-            await self._supervisor.stop()
+        await self._supervisor.stop()
         # Wake connections blocked in readline() with EOF so their handler
         # tasks exit before loop teardown (a cancelled reader would log a
         # traceback, and the error-hygiene contract forbids those).
@@ -314,10 +309,10 @@ class SolverService:
         """The ``event`` op: delta sessions on the same batched hot path.
 
         Event requests share the solve queue — admission control, deadline
-        rewriting and shedding behave identically — but execute against the
-        session table instead of the engine (``docs/ONLINE.md``); in the
-        supervised tier they shard by session name, so one worker owns each
-        session's delta view.
+        rewriting and shedding behave identically — but execute against a
+        worker's session table instead of the engine (``docs/ONLINE.md``);
+        they shard by session name, so one worker owns each session's delta
+        view.
         """
         from repro.model.instance import InvalidInstanceError
 
@@ -351,7 +346,7 @@ class SolverService:
         the worker pool, so operators can still see supervisor state (and
         the clients can still ``ping``) while every worker is down.
         """
-        response = {
+        return {
             "id": request_id,
             "status": protocol.STATUS_OK,
             "op": "stats",
@@ -361,10 +356,8 @@ class SolverService:
             "max_batch": self._batcher.max_batch,
             "draining": self._draining,
             "metrics": get_registry().snapshot(),
+            "workers": self._supervisor.describe(),
         }
-        if self._supervisor is not None:
-            response["workers"] = self._supervisor.describe()
-        return response
 
     @staticmethod
     async def _send(
@@ -456,8 +449,7 @@ def run_service(
 
     The ``repro-sectors serve`` entry point: prints one readiness line
     (``serving on <host>:<port> ...``) once bound, then blocks.  Returns
-    0 after a clean drain (including the supervised workers, when
-    ``workers``/``chaos`` are given).
+    0 after a clean drain (including the supervised workers).
     """
     service = SolverService(
         host=host, port=port, unix_path=unix_path, max_batch=max_batch,
@@ -471,11 +463,9 @@ def run_service(
         endpoints = f"{service.host}:{service.port}"
         if service.unix_path:
             endpoints += f" and unix:{service.unix_path}"
-        extra = ""
-        if service.workers is not None:
-            extra = f", workers={service.workers} supervised"
-            if chaos is not None:
-                extra += ", chaos on"
+        extra = f", workers={service.workers} supervised"
+        if chaos is not None:
+            extra += ", chaos on"
         print(
             f"serving on {endpoints} "
             f"(max_batch={service._batcher.max_batch}, "

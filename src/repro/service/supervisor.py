@@ -1,22 +1,25 @@
 """The worker supervisor: health probes, restarts, breakers, redispatch.
 
-This is the self-healing layer between the :class:`~repro.service.batcher.
-MicroBatcher` and the engine worker subprocesses (``docs/SERVICE.md``).
-One :class:`WorkerSupervisor` owns N workers and installs itself as the
-batcher's dispatcher; each coalesced batch is planned (cache probe +
-dedup, shared with the in-process path), partitioned by shard owner on
-the consistent-hash ring, and dispatched concurrently over the per-worker
-pipes.
+This is the service's one solve path: the self-healing layer between the
+:class:`~repro.service.batcher.MicroBatcher` and the engine worker
+subprocesses (``docs/SERVICE.md``).  One :class:`WorkerSupervisor` owns N
+workers, and its :meth:`~WorkerSupervisor.solve_batch` is the batcher's
+dispatcher: each coalesced batch is planned in the service process (warm
+result-cache probe + in-batch dedup), partitioned by shard owner on the
+consistent-hash ring, dispatched concurrently over the per-worker pipes,
+and the fresh reports are stored back into the service's result cache.
 
 Failure handling is layered, cheapest first:
 
 1. **redispatch** — a :class:`~repro.parallel.WorkerCrashed` on a dispatch
    moves the slice to the next sibling on the ring (its natural spill
    target, so retried keys still warm a durable cache);
-2. **degraded fallback** — with every worker down or tried, the slice
-   solves serially *in the service process* — strictly slower, never
+2. **degraded fallback** — with every worker down or tried, the slice's
+   solves run serially *in the service process* — strictly slower, never
    wrong, and it keeps ``ping``/``stats`` and solves answerable while the
-   supervisor restarts the pool underneath;
+   supervisor restarts the pool underneath.  Event requests are refused
+   with status ``5`` instead: a session lives in exactly one worker, so
+   the service process never holds one;
 3. **restart** — a background probe loop detects dead workers and
    respawns them with bounded exponential backoff (a crash-looping worker
    cannot hog the loop), bumping the worker's *generation* so a
@@ -36,14 +39,17 @@ per-worker dispatch latency histograms are aggregated into the service
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import SolveReport, SolveRequest, cache_store
+from repro.engine import SolveReport, SolveRequest, cache_probe, cache_store
+from repro.engine.cache import result_key
+from repro.engine.core import _cacheable, _resolve, _solve_worker
 from repro.obs.metrics import Histogram, get_registry
 from repro.parallel.pool import PipeWorker, WorkerCrashed
 from repro.resilience.chaos import ChaosPolicy
-from repro.service.batcher import _fill_aliases, _plan_batch
+from repro.service.events import EventRequest
 from repro.service.workers import (
     ShardRing,
     service_mp_context,
@@ -54,6 +60,7 @@ from repro.service.workers import (
 __all__ = ["CircuitBreaker", "WorkerSupervisor"]
 
 _REG = get_registry()
+_CACHE_SERVED = _REG.counter("service.cache_served")
 _DISPATCHES = _REG.counter("service.worker.dispatches")
 _WORKER_FAILURES = _REG.counter("service.worker.failures")
 _REDISPATCHES = _REG.counter("service.worker.redispatches")
@@ -62,6 +69,81 @@ _WORKER_LATENCY = _REG.histogram("service.worker.latency")
 _RESTARTS = _REG.counter("service.supervisor.restarts")
 _BREAKER_OPENS = _REG.counter("service.supervisor.breaker_opens")
 _ALIVE = _REG.gauge("service.supervisor.alive")
+
+
+def _probe(request: SolveRequest) -> Optional[SolveReport]:
+    """Service-cache probe that never raises (a bad request is a miss —
+    the worker's solve produces the proper error report)."""
+    try:
+        return cache_probe(request)
+    except Exception:  # noqa: BLE001 - probe must not sink the batch
+        return None
+
+
+def _dedup_key(request: SolveRequest) -> Optional[Tuple]:
+    """In-batch dedup key: the resolved result-cache key, or ``None``.
+
+    Only cacheable requests dedup (a budgeted or ``use_cache=False``
+    request must run on its own); resolution failures fall through to
+    the worker's solve for a proper error report.
+    """
+    try:
+        family, algorithm, _ = _resolve(request)
+        if not _cacheable(request, family):
+            return None
+        return result_key(request.instance, family, algorithm,
+                          request.eps, request.seed)
+    except Exception:  # noqa: BLE001
+        return None
+
+
+def _plan_batch(
+    requests: List[SolveRequest],
+) -> Tuple[List[Optional[SolveReport]], List[int], List[Tuple[int, int]]]:
+    """Batch front half: service-cache probe + in-batch dedup.
+
+    Returns ``(reports, unique, alias)``: ``reports`` with cache hits
+    already filled (``None`` elsewhere), ``unique`` the indices that must
+    actually solve, and ``alias`` the ``(duplicate, source)`` index pairs
+    that will copy their source's report.
+    """
+    reports: List[Optional[SolveReport]] = [None] * len(requests)
+    miss_keys: dict = {}
+    unique: List[int] = []
+    alias: List[Tuple[int, int]] = []
+    for i, request in enumerate(requests):
+        hit = _probe(request)
+        if hit is not None:
+            _CACHE_SERVED.inc()
+            reports[i] = hit
+            continue
+        key = _dedup_key(request)
+        if key is not None and key in miss_keys:
+            alias.append((i, miss_keys[key]))
+            continue
+        if key is not None:
+            miss_keys[key] = i
+        unique.append(i)
+    return reports, unique, alias
+
+
+def _fill_aliases(
+    reports: List[Optional[SolveReport]],
+    requests: List[SolveRequest],
+    alias: List[Tuple[int, int]],
+) -> List[SolveReport]:
+    """Batch back half: copy dedup sources into their duplicates.
+
+    Completes the plan from :func:`_plan_batch` and compacts the report
+    list (every request is expected to have a report by now).
+    """
+    for i, j in alias:
+        source = reports[j]
+        assert source is not None
+        reports[i] = dataclasses.replace(
+            source, label=requests[i].label, cached=True
+        )
+    return [r for r in reports if r is not None]
 
 
 class CircuitBreaker:
@@ -305,13 +387,12 @@ class WorkerSupervisor:
         worker.consecutive_crashes = 0
 
     # ------------------------------------------------------------------
-    # Dispatch (installed as the MicroBatcher's dispatcher)
+    # Dispatch (the MicroBatcher's dispatcher)
     # ------------------------------------------------------------------
     async def solve_batch(self, requests: List[SolveRequest]) -> List[SolveReport]:
         """Plan, shard, dispatch, and heal one coalesced batch.
 
-        Mirrors :func:`repro.service.batcher.run_batch` semantics exactly
-        (probe → dedup → solve → store → alias fill) with the solve step
+        Probe → dedup → solve → store → alias fill, with the solve step
         partitioned across shard owners; per-request failures come back as
         error reports, never exceptions.
         """
@@ -392,7 +473,7 @@ class WorkerSupervisor:
             worker.breaker.record_success()
             worker.consecutive_crashes = 0
             return idxs, solved
-        # Graceful degradation: no worker reachable — solve in-process.
+        # Graceful degradation: no worker reachable — solve here.
         _DEGRADED.inc(len(idxs))
         solved = await loop.run_in_executor(
             None, _solve_in_process, slice_requests
@@ -437,11 +518,27 @@ class WorkerSupervisor:
 def _solve_in_process(requests: List[SolveRequest]) -> List[SolveReport]:
     """Last-resort serial solve in the service process (degraded mode).
 
-    Event requests execute against the *parent's* session table here — a
-    degraded-mode session diverges from the dead worker's copy, so the
-    client must re-open it (attach ``instance``) once workers recover;
-    ``docs/ONLINE.md`` documents this failure semantic.
+    Solve requests run on the engine here.  Event requests are refused
+    with ``WorkerUnavailable`` (status ``5``): their session lives in a
+    worker's table, and a copy opened in the service process would
+    diverge from it (``docs/ONLINE.md``).
     """
-    from repro.service.events import execute_request
+    return [
+        _unavailable_report(request) if isinstance(request, EventRequest)
+        else _solve_worker(request)
+        for request in requests
+    ]
 
-    return [execute_request(request) for request in requests]
+
+def _unavailable_report(request: EventRequest) -> SolveReport:
+    """The status-5 report for an event op no worker is up to hold."""
+    return SolveReport(
+        family=request.family,
+        algorithm=request.algorithm,
+        label=request.label,
+        error=(
+            f"WorkerUnavailable: no worker is up to hold session "
+            f"{request.session!r}; retry once the pool recovers"
+        ),
+        extra={"session": request.session},
+    )

@@ -1,13 +1,10 @@
 """Tests for instance statistics and ASCII visualisation."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis.stats import (
-    InstanceStats,
     best_window_share,
     circular_concentration,
     gini,

@@ -1,7 +1,5 @@
 """Tests for batch window membership and the single-station exact solver."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

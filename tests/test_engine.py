@@ -34,7 +34,6 @@ from repro.engine import (
     specs,
 )
 from repro.engine.cache import (
-    COMPILE_CACHE,
     RESULT_CACHE,
     RESULT_CACHE_MAXSIZE,
     LruCache,

@@ -5,7 +5,6 @@ executed in-process via runpy with stdout captured.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

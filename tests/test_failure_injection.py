@@ -11,7 +11,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.geometry.angles import TWO_PI
 from repro.knapsack import KnapsackResult, get_solver
 from repro.model import generators as gen
 from repro.model.serialization import (

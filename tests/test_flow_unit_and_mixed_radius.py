@@ -10,7 +10,6 @@ from repro.model.instance import AngleInstance
 from repro.model import generators as gen
 from repro.packing.exact import solve_exact_fixed_orientations
 from repro.packing.flow import (
-    solve_splittable,
     solve_unit_demand_fixed,
     splittable_value,
 )

@@ -1,6 +1,5 @@
 """Tests for CircularIntervalSet, validated against point sampling."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,7 +1,5 @@
 """Integration tests: multi-module pipelines end to end."""
 
-import json
-
 import numpy as np
 import pytest
 

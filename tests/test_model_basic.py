@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.geometry.angles import TWO_PI
-from repro.model.antenna import AntennaSpec, OrientedAntenna
+from repro.model.antenna import AntennaSpec
 from repro.model.customer import Customer
 
 

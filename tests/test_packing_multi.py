@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.geometry.angles import TWO_PI
 from repro.knapsack import get_solver

@@ -1,12 +1,11 @@
 """Tests for the process-pool layer (repro.parallel)."""
 
-import os
 import time
 
 import pytest
 
 from repro.obs.metrics import get_registry
-from repro.parallel import parallel_map, scatter_gather, worker_count
+from repro.parallel import parallel_map, worker_count
 from repro.parallel.pool import _is_picklable
 from repro.resilience import ChaosPolicy
 
@@ -15,17 +14,13 @@ def square(x):
     return x * x
 
 
-def chunk_sum(chunk):
-    return sum(chunk)
+def slow_square(x):
+    time.sleep(0.1)
+    return x * x
 
 
-def slow_chunk_sum(chunk):
-    time.sleep(0.25)
-    return sum(chunk)
-
-
-def failing_chunk_sum(chunk):
-    raise RuntimeError("this chunk always fails")
+def failing_square(x):
+    raise RuntimeError("this item always fails")
 
 
 # Chaos-wrapped workers: deterministic by seed, and only misbehave inside
@@ -89,19 +84,6 @@ class TestParallelMap:
         assert out == [x * x for x in items]
 
 
-class TestScatterGather:
-    def test_basic(self):
-        chunks = [[1, 2], [3, 4], [5]]
-        assert scatter_gather(chunk_sum, chunks, workers=2) == [3, 7, 5]
-
-    def test_single_chunk_serial(self):
-        assert scatter_gather(chunk_sum, [[1, 2, 3]], workers=4) == [6]
-
-    def test_serial_fallback(self):
-        chunks = [[1], [2], [3]]
-        assert scatter_gather(chunk_sum, chunks, workers=1) == [1, 2, 3]
-
-
 class TestCrashRecovery:
     def test_worker_kill_recovered_serially(self):
         # Workers die mid-chunk (os._exit) on a seeded schedule; the pool
@@ -123,29 +105,16 @@ class TestCrashRecovery:
     def test_chunk_timeout_recovered_serially(self):
         reg = get_registry()
         reg.reset()
-        chunks = [[1, 2], [3, 4], [5, 6]]
-        out = scatter_gather(slow_chunk_sum, chunks, workers=2,
-                             chunk_timeout_s=0.01)
-        assert out == [3, 7, 11]
+        items = list(range(6))
+        out = parallel_map(slow_square, items, workers=2, chunk_size=2,
+                           chunk_timeout_s=0.01)
+        assert out == [x * x for x in items]
         assert reg.snapshot()["parallel.chunk_timeouts"]["value"] >= 1
 
     def test_permanent_failure_raises_by_default(self):
         with pytest.raises(RuntimeError):
-            scatter_gather(failing_chunk_sum, [[1], [2], [3]], workers=2)
-
-    def test_allow_partial_yields_none_slots(self):
-        reg = get_registry()
-        reg.reset()
-        chunks = [[1], [2], [3]]
-        out = scatter_gather(failing_chunk_sum, chunks, workers=2,
-                             allow_partial=True)
-        assert out == [None, None, None]
-        assert reg.snapshot()["parallel.failed_chunks"]["value"] == 3
-
-    def test_allow_partial_serial_path(self):
-        out = scatter_gather(failing_chunk_sum, [[1], [2]], workers=1,
-                             allow_partial=True)
-        assert out == [None, None]
+            parallel_map(failing_square, list(range(6)), workers=2,
+                         chunk_size=2)
 
 
 class TestPicklable:

@@ -1,7 +1,6 @@
 """Hypothesis property tests for the 2-D sector pipeline."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.angles import TWO_PI

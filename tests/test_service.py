@@ -22,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import SolveRequest, clear_caches
+from repro.engine import SolveReport, SolveRequest, clear_caches
 from repro.model import generators
 from repro.obs.metrics import get_registry
+from repro.parallel import worker_count
 from repro.service import (
     STATUS_INVALID_INPUT,
     STATUS_OK,
@@ -111,10 +112,17 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 # MicroBatcher (event-loop level, no sockets)
 # ----------------------------------------------------------------------
+async def _fake_dispatch(requests):
+    """Stand-in for the worker pool: one empty ok report per request."""
+    return [SolveReport(family=r.family, algorithm=r.algorithm, label=r.label)
+            for r in requests]
+
+
 class TestMicroBatcher:
     def test_queue_bound_sheds(self):
         async def scenario():
-            batcher = MicroBatcher(queue_bound=2, flush_interval_s=0.001)
+            batcher = MicroBatcher(_fake_dispatch, queue_bound=2,
+                                   flush_interval_s=0.001)
             inst = _instances(1)[0]
             batcher.submit(SolveRequest(instance=inst, algorithm="greedy"))
             batcher.submit(SolveRequest(instance=inst, algorithm="greedy"))
@@ -126,7 +134,7 @@ class TestMicroBatcher:
 
     def test_closed_batcher_sheds(self):
         async def scenario():
-            batcher = MicroBatcher()
+            batcher = MicroBatcher(_fake_dispatch)
             batcher.close()
             with pytest.raises(Overloaded):
                 batcher.submit(
@@ -139,7 +147,8 @@ class TestMicroBatcher:
         """close() lets everything already admitted finish (the SIGTERM path)."""
         async def scenario():
             clear_caches()
-            batcher = MicroBatcher(max_batch=4, flush_interval_s=0.001)
+            batcher = MicroBatcher(_fake_dispatch, max_batch=4,
+                                   flush_interval_s=0.001)
             futures = [
                 batcher.submit(
                     SolveRequest(instance=inst, algorithm="greedy",
@@ -159,7 +168,8 @@ class TestMicroBatcher:
     def test_expired_deadline_sheds_without_solving(self):
         async def scenario():
             clear_caches()
-            batcher = MicroBatcher(max_batch=8, flush_interval_s=0.05)
+            batcher = MicroBatcher(_fake_dispatch, max_batch=8,
+                                   flush_interval_s=0.05)
             inst = _instances(1)[0]
             future = batcher.submit(
                 SolveRequest(instance=inst, algorithm="greedy",
@@ -196,7 +206,7 @@ class TestServiceEndToEnd:
                 # micro-batcher exists for (docs/SERVICE.md).
                 assert max(r["batch_size"] for r in responses) > 1
 
-                # Repeat solve -> warm parent cache.
+                # Repeat solve -> warm service-side cache.
                 inst = _instances(1)[0]
                 first = client.solve(inst, algorithm="greedy")
                 again = client.solve(inst, algorithm="greedy")
@@ -207,6 +217,8 @@ class TestServiceEndToEnd:
                 stats = client.stats()
                 assert stats["status"] == STATUS_OK
                 assert stats["queue_bound"] == 256
+                # The default service solves on the supervised pool.
+                assert stats["workers"]["count"] == worker_count()
                 metrics = stats["metrics"]
                 for name in [
                     "service.requests", "service.responses", "service.shed",

@@ -15,8 +15,9 @@ service-level fault sites of ``docs/RESILIENCE.md``:
   with a value identical to a chaos-free run, and
   ``service.supervisor.restarts`` > 0 is observed;
 * blackholed and corrupted reply frames are healed by redispatch;
-* with every worker down, ``ping``/``stats`` stay answerable and solves
-  degrade to the in-process engine instead of failing.
+* with every worker down, ``ping``/``stats`` stay answerable, solves
+  degrade to the engine in the service process instead of failing, and
+  event ops are refused with status 5 (their session needs a worker).
 """
 
 import multiprocessing
@@ -34,10 +35,10 @@ from repro.parallel import PipeWorker, WorkerCrashed
 from repro.resilience.chaos import ChaosPolicy
 from repro.service import (
     STATUS_OK,
+    STATUS_OVERLOADED,
     CircuitBreaker,
     ServiceClient,
     ShardRing,
-    SolverService,
     start_in_thread,
 )
 from repro.service.workers import describe_ring, shard_key
@@ -255,10 +256,6 @@ class TestPipeWorker:
 # Supervised service end to end
 # ----------------------------------------------------------------------
 class TestSupervisedService:
-    def test_chaos_requires_workers(self):
-        with pytest.raises(ValueError, match="requires"):
-            SolverService(chaos=ChaosPolicy(kill_rate=0.5))
-
     def test_shard_affinity_across_bursts(self):
         """The same instances route to the same workers, burst after burst."""
         clear_caches()
@@ -346,7 +343,7 @@ class TestSupervisedService:
             handle.stop()
 
     def test_degraded_mode_keeps_answering_with_all_workers_down(self):
-        """SIGKILL every worker: ping/stats/solve must all still answer."""
+        """SIGKILL every worker: ping/stats/solve answer, events shed."""
         clear_caches()
         handle = start_in_thread(
             port=0, workers=2,
@@ -369,10 +366,18 @@ class TestSupervisedService:
                 assert client.ping()["status"] == STATUS_OK
                 stats = client.stats()
                 assert stats["status"] == STATUS_OK
-                # Solves degrade to the in-process engine, not to errors.
+                # Solves degrade to the service process's engine, not to
+                # errors.
                 response = client.solve(_instances(1)[0], algorithm="greedy",
                                         use_cache=False)
                 assert response["status"] == STATUS_OK
+                # A session lives in one worker, never in the service
+                # process: with none up, an event op is shed, not run.
+                refused = client.event("degraded-sess",
+                                       instance=_instances(1)[0])
+                assert refused["status"] == STATUS_OVERLOADED
+                assert "degraded-sess" in refused["error"]
+                assert "no worker is up" in refused["error"]
                 metrics = client.stats()["metrics"]
                 assert _counter(metrics, "service.worker.degraded") >= 1
                 # The supervisor heals the pool underneath.
