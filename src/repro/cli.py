@@ -49,21 +49,18 @@ from repro.analysis.tables import format_table
 from repro.engine import SolveRequest
 from repro.engine import solve as engine_solve
 from repro.engine import solver_names, specs
+from repro.errors import (
+    EXIT_INTERNAL,
+    EXIT_INVALID_INPUT,
+    EXIT_OK,
+    EXIT_USAGE,
+    classify,
+)
 from repro.model import generators as gen
 from repro.model.instance import AngleInstance
 from repro.model.serialization import load_instance, save_instance, solution_to_dict
 from repro.packing.bounds import combined_upper_bound
 
-#: CLI exit codes (documented in the module docstring / docs/RESILIENCE.md).
-#: The solver service reuses them as wire status codes (docs/SERVICE.md);
-#: EXIT_OVERLOADED is wire-born — the CLI only exits with it when
-#: ``client`` relays a shed response.
-EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_USAGE = 2
-EXIT_INVALID_INPUT = 3
-EXIT_TIMEOUT = 4
-EXIT_OVERLOADED = 5
 
 #: The ``--help`` epilog: the full exit-code contract in one place
 #: (mirrors docs/RESILIENCE.md and docs/SERVICE.md).
@@ -606,42 +603,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: Optional[list] = None) -> int:
-    """Parse and dispatch; route failures to documented exit codes.
-
-    Never lets a traceback reach the terminal: every anticipated failure
-    class maps to one stderr line and a distinct exit code.
-    """
-    from repro.model.instance import InvalidInstanceError
+def _error_message(exc: Exception, matched: Optional[type]) -> str:
+    """The one stderr line for a failure the exit-code table classified."""
     from repro.model.solution import FeasibilityError
     from repro.resilience import BudgetExpired
 
+    if matched is BudgetExpired:
+        return (f"deadline expired ({exc.reason}); "
+                f"re-run with --fallback for a degraded answer")
+    if matched is json.JSONDecodeError:
+        return f"malformed JSON: {exc}"
+    if matched is FeasibilityError:
+        return f"solver produced an infeasible solution: {exc}"
+    if matched is None:
+        return f"unexpected {type(exc).__name__}: {exc}"
+    return str(exc)
+
+
+def main(argv: Optional[list] = None) -> int:
+    """Parse and dispatch; route failures to documented exit codes.
+
+    Never lets a traceback reach the terminal: every failure maps to one
+    stderr line and the exit code of :data:`repro.errors.ERROR_CODES`,
+    the table the service wire classifies by too.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExpired as exc:
-        print(f"error: deadline expired ({exc.reason}); "
-              f"re-run with --fallback for a degraded answer", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except InvalidInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except FeasibilityError as exc:
-        print(f"error: solver produced an infeasible solution: {exc}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - last-resort hygiene
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:  # noqa: BLE001 - classified by the shared table
+        matched, code = classify(exc)
+        print(f"error: {_error_message(exc, matched)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

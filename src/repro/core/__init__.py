@@ -13,11 +13,9 @@ from repro.core.backend import batched_station_polar, greedy_prefix_mask
 from repro.core.compiled import (
     CompiledAngleInstance,
     CompiledInstance,
-    CompiledItems,
     CompiledSectorInstance,
     CompiledStation,
     compile_instance,
-    compile_items,
 )
 
 __all__ = [
@@ -25,9 +23,7 @@ __all__ = [
     "CompiledAngleInstance",
     "CompiledSectorInstance",
     "CompiledStation",
-    "CompiledItems",
     "compile_instance",
-    "compile_items",
     "greedy_prefix_mask",
     "batched_station_polar",
 ]

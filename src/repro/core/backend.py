@@ -57,9 +57,8 @@ def _fits_elementwise(weight: np.ndarray, remaining: np.ndarray) -> np.ndarray:
 def greedy_prefix_mask(weights: np.ndarray, capacity: float) -> np.ndarray:
     """Accept mask of the extended density greedy, in vectorized rounds.
 
-    ``weights`` must already be in visit order (the density order of
-    :class:`~repro.core.compiled.CompiledItems` restricted to the useful
-    items).  Reproduces the sequential scan "take while it fits, keep
+    ``weights`` must already be in visit order (the stable density order
+    of :func:`repro.knapsack.greedy.solve_greedy` over the useful items).  Reproduces the sequential scan "take while it fits, keep
     scanning past misfits": each round accepts the longest fitting prefix
     via one cumulative sum, drops the first misfit, and discards every
     remaining item that can no longer fit the (monotonically shrinking)

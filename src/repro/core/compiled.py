@@ -10,15 +10,21 @@ existed each solver re-derived all of it on every call (and
 cost).
 
 A *compiled instance* is a struct-of-arrays view holding exactly that
-shared prefix, built once and memoized at three levels:
+shared prefix.  There is one memo contract:
 
-* per width / per subset inside the view itself (thread-safe memo dicts);
-* per instance *object* via ``Instance.compile()`` (model layer);
-* per instance *content fingerprint* via
-  :func:`repro.engine.cache.shared_compiled` (engine layer), so batched
-  ``solve_many`` calls and each service worker compile each distinct
-  instance exactly once — observable through the ``engine.compile.*``
-  metrics.
+* inside the view, per width / per subset / per station (thread-safe
+  memo dicts);
+* per instance *object* via ``Instance.compile()`` (model layer) — the
+  only way any solver, bound or verifier gets a view.
+
+Sharing across equal-content objects is the engine's job, not this
+layer's: :func:`repro.engine.cache.intern_instance` maps every instance
+to one canonical equal-content object per fingerprint, and the engine
+solves and verifies on it, so batched ``solve_many`` calls and each
+service worker compile (and compose constraint masks for) each distinct
+instance exactly once — observable through the ``engine.compile.*``
+metrics.  ``Instance.compile()`` consults no process-wide cache, so a
+view built outside the engine dies with its instance.
 
 Everything a compiled view hands out is either read-only or freshly
 derived, and every derived quantity is *bit-identical* to what the solvers
@@ -44,9 +50,7 @@ __all__ = [
     "CompiledAngleInstance",
     "CompiledSectorInstance",
     "CompiledStation",
-    "CompiledItems",
     "compile_instance",
-    "compile_items",
 ]
 
 _REG = get_registry()
@@ -426,38 +430,11 @@ class CompiledSectorInstance(CompiledInstance):
             return self._eligibility
 
 
-class CompiledItems:
-    """Compiled view of one knapsack item set (weights + profits).
-
-    The greedy solver's global profit-density order is the only derived
-    quantity worth sharing; exact/FPTAS solvers key their DP tables off the
-    raw arrays and ignore this view.
-    """
-
-    kind = "items"
-
-    def __init__(self, weights: np.ndarray, profits: np.ndarray) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        p = np.asarray(profits, dtype=np.float64)
-        if w.shape != p.shape or w.ndim != 1:
-            raise ValueError(
-                f"weights/profits must be matching 1-D arrays, "
-                f"got {w.shape} and {p.shape}"
-            )
-        self.n = int(w.shape[0])
-        self.weights = _frozen(w.copy())
-        self.profits = _frozen(p.copy())
-        # Same density expression and tie-breaking as solve_greedy.
-        dens = np.where(w > 1e-12, p / np.maximum(w, 1e-300), np.inf)
-        self.density_order = _frozen(np.argsort(-dens, kind="stable"))
-
-
 def compile_instance(instance) -> CompiledInstance:
     """Build the compiled view for an angle or sector instance.
 
-    Prefer ``instance.compile()`` (memoized per object) or
-    :func:`repro.engine.cache.shared_compiled` (memoized per content
-    fingerprint); this factory always builds fresh.
+    Prefer ``instance.compile()`` (memoized per object); this factory
+    always builds fresh.
     """
     # Duck-typed dispatch keeps this module import-light; the model layer
     # imports us lazily from inside Instance.compile().
@@ -468,12 +445,4 @@ def compile_instance(instance) -> CompiledInstance:
     raise TypeError(
         f"cannot compile {type(instance).__name__}: "
         "expected an AngleInstance or SectorInstance"
-    )
-
-
-def compile_items(weights, profits) -> CompiledItems:
-    """Build the compiled view of one knapsack item set."""
-    return CompiledItems(
-        np.asarray(weights, dtype=np.float64),
-        np.asarray(profits, dtype=np.float64),
     )

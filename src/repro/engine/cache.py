@@ -1,15 +1,21 @@
-"""Instance-fingerprint caches: solve results and compiled instances.
+"""Instance-fingerprint caches: solve results and canonical instances.
 
 Two process-wide LRU caches keyed by **content**, not identity:
 
 * the **result cache** memoizes full verified solve results under
   ``(instance fingerprint, family, algorithm, eps, seed)``;
-* the **compile cache** memoizes the
-  :class:`~repro.core.compiled.CompiledInstance` view — the sorted-angle
-  permutations, demand/profit prefix sums, shared sweeps and candidate
-  grids that every solver consumes — so ``solve_many`` batches and each
-  service worker compile each distinct instance once, no matter how many
-  requests reference equal content.
+* the **compile cache** interns one *canonical instance* per content
+  fingerprint (:func:`intern_instance`).  The compiled view every solver
+  consumes — sorted-angle permutations, demand/profit prefix sums, shared
+  sweeps, candidate grids, constraint masks — lives in that object's
+  ``Instance.compile()`` memo, the only compile memo there is.  The
+  engine runs each monolithic solve, and its verification, on the
+  canonical object, so ``solve_many`` batches and each service worker
+  compile each distinct instance once, no matter how many requests
+  reference equal content.  ``Instance.compile()`` itself consults no
+  process-wide cache: a caller that never goes through the engine (or the
+  partitioned strategy's parent instance) compiles on its own object and
+  frees the view with it.
 
 Keying is a SHA-256 over the canonical content: array bytes plus the
 antenna/station scalars, via :func:`fingerprint`.  Two instances with
@@ -17,7 +23,8 @@ equal content share entries no matter how they were constructed; any
 content change produces a new key, so *correctness* never needs an
 invalidation protocol — stale entries simply age out of the LRU.  This is
 sound because instances are immutable by contract (read-only arrays,
-frozen dataclasses) and a compiled view is append-only after construction
+frozen dataclasses, a staleness token re-checked on every ``compile()``
+memo hit) and a compiled view is append-only after construction
 (its internal memo tables only accrete sweeps for new widths).  The online
 delta layer (:mod:`repro.online.delta`, ``docs/ONLINE.md``) additionally
 performs *capacity hygiene*: when an event stream touches a sector, it
@@ -27,7 +34,7 @@ while untouched-sector entries stay warm.
 
 Mutation safety: the result cache stores and returns **deep copies**, so
 callers may freely edit what they get back.  The compile cache returns
-shared objects; their arrays are handed out read-only.
+shared instances; their arrays, and their views' arrays, are read-only.
 
 Hit/miss/eviction counters live in the metrics registry under
 ``engine.cache.*`` and ``engine.compile.*`` (contract:
@@ -56,12 +63,13 @@ __all__ = [
     "COMPILE_CACHE",
     "fingerprint",
     "result_key",
-    "shared_compiled",
+    "intern_instance",
     "clear_caches",
 ]
 
 #: Default capacities.  Results hold full solutions (small: two arrays of
-#: size n/k); compile entries hold sorted views (O(n log n) ints each).
+#: size n/k); compile entries hold an instance plus its compiled view
+#: (sorted permutations and prefix sums, O(n) per station and width).
 RESULT_CACHE_MAXSIZE = 256
 COMPILE_CACHE_MAXSIZE = 128
 
@@ -211,26 +219,22 @@ def result_key(
 
 
 # ----------------------------------------------------------------------
-# Shared compiled instances
+# Canonical instances
 # ----------------------------------------------------------------------
-def shared_compiled(instance):
-    """Get-or-build the :class:`~repro.core.compiled.CompiledInstance`
-    for ``instance``, memoized process-wide under its content fingerprint.
+def intern_instance(instance):
+    """The canonical equal-content instance for ``instance``.
 
-    Unlike ``instance.compile()`` (a per-*object* memo), this shares one
-    compiled view across every equal-content instance the process sees —
-    batch duplicates, JSON round-trips, service aliases.  The view is
-    built fresh on a miss (never lifted from the object memo), so
-    :func:`clear_caches` makes subsequent compiles genuinely cold — the
-    property every cold/shared comparison relies on.
+    Returns the first instance with this content fingerprint still held
+    by the compile cache (its ``compile()`` memo is then already warm), or
+    registers ``instance`` itself as canonical on a miss.  Payloads that
+    are not angle or sector instances (knapsack triples) pass through.
+    Counted under ``engine.compile.{hits,misses,evictions}``.
     """
-    # Imported lazily: repro.packing modules import this module at import
-    # time, and repro.core sits below them in the layering.
-    from repro.core.compiled import compile_instance
-
-    key = ("compiled", fingerprint(instance))
-    compiled = COMPILE_CACHE.get(key)
-    if compiled is None:
-        compiled = compile_instance(instance)
-        COMPILE_CACHE.put(key, compiled)
-    return compiled
+    if not isinstance(instance, (AngleInstance, SectorInstance)):
+        return instance
+    key = fingerprint(instance)
+    canonical = COMPILE_CACHE.get(key)
+    if canonical is None:
+        COMPILE_CACHE.put(key, instance)
+        canonical = instance
+    return canonical

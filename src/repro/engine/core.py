@@ -13,8 +13,10 @@ used to live in ``cli.py``, a since-deleted bench harness and
 
 The engine owns the cross-cutting policy so solvers do not have to:
 oracle construction from eps, cooperative ``Budget`` activation from
-``timeout_s``, result verification, instance-fingerprint caching
-(:mod:`repro.engine.cache`) and telemetry (``engine.*`` metrics, see
+``timeout_s``, result verification, instance-fingerprint caching and
+interning of equal-content instances (:mod:`repro.engine.cache`: a
+monolithic solve and its verification share one compiled view) and
+telemetry (``engine.*`` metrics, see
 ``docs/OBSERVABILITY.md``).  :func:`solve_many` fans requests over
 :func:`repro.parallel.pool.parallel_map` with per-request budgets and
 partial-result semantics.
@@ -31,12 +33,13 @@ supervised workers that re-enter this seam.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine import cache as _cache
 from repro.engine.planner import plan, plan_partition
 from repro.engine.registry import SolveContext, SolverSpec, get_spec
+from repro.errors import error_text
 from repro.model.introspect import infer_family, instance_size
 from repro.obs.metrics import get_registry
 
@@ -140,27 +143,6 @@ def _build_oracle(spec: SolverSpec, eps: float):
     if spec.supports_eps and eps < 1.0:
         return get_solver("fptas", eps=eps)
     return get_solver("exact")
-
-
-def _build_compiled(instance: Any, family: str) -> Any:
-    """Resolve the shared compiled view the solver context carries.
-
-    Knapsack payloads compile their item arrays directly; every other
-    family goes through the fingerprint-keyed compile cache, so repeated
-    solves of equal-content instances (batches, service aliases) compile
-    once per process.
-    """
-    if family == "knapsack":
-        import numpy as np
-
-        from repro.core.compiled import compile_items
-
-        weights, profits, _ = instance
-        return compile_items(
-            np.asarray(weights, dtype=np.float64),
-            np.asarray(profits, dtype=np.float64),
-        )
-    return _cache.shared_compiled(instance)
 
 
 def _normalize(result: Any, instance: Any, extra: Dict[str, Any]) -> tuple:
@@ -331,10 +313,14 @@ def _run_monolithic(
     request: SolveRequest, spec: SolverSpec, family: str, algorithm: str,
     extra: Dict[str, Any],
 ) -> Any:
-    """Run the spec in-process over the whole instance (default strategy)."""
+    """Run the spec in-process over the whole instance (default strategy).
+
+    :func:`solve` has already swapped in the interned canonical instance,
+    so the solver's ``instance.compile()`` is shared with every earlier
+    equal-content solve in this process.
+    """
     ctx = SolveContext(eps=request.eps, seed=request.seed,
-                       oracle=_build_oracle(spec, request.eps),
-                       compiled=_build_compiled(request.instance, family))
+                       oracle=_build_oracle(spec, request.eps))
     return spec.run(request.instance, ctx)
 
 
@@ -344,8 +330,8 @@ def _run_partitioned(
 ) -> Any:
     """Partition–solve–merge over the reach components (docs/SCALE.md).
 
-    Deliberately skips :func:`_build_compiled` for the parent instance —
-    compiling per-station views of all ``n`` customers is exactly the
+    Deliberately leaves the parent instance un-interned — compiling
+    per-station views of all ``n`` customers is exactly the
     cost this strategy avoids; each child solve compiles only its part.
     """
     from repro.engine.partition import solve_partitioned
@@ -403,6 +389,12 @@ def solve(request: SolveRequest) -> SolveReport:
                 label=request.label, extra=dict(extra),
             )
 
+    if strategy == "monolithic":
+        # Solve, normalize and verify on the canonical equal-content
+        # object, so its one compile() memo serves all three.
+        request = replace(
+            request, instance=_cache.intern_instance(request.instance)
+        )
     budget_ctx = (
         Budget(wall_s=request.timeout_s).activate()
         if request.timeout_s is not None
@@ -440,7 +432,7 @@ def _solve_worker(request: SolveRequest) -> SolveReport:
                 family = "?"
         return SolveReport(
             family=family, algorithm=request.algorithm, label=request.label,
-            error=f"{type(exc).__name__}: {exc}",
+            error=error_text(exc),
         )
 
 

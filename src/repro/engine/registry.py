@@ -7,7 +7,9 @@ others.  The registry replaces them: a :class:`SolverSpec` declares *what* a sol
 (family, variant, exactness, guarantee, complexity class, applicability)
 and *how* to run it (a ``run(instance, ctx)`` callable threading the
 shared oracle/eps/seed context), and every consumer derives its table
-from here.
+from here.  Compiled views never travel through the context: each
+solver reads ``instance.compile()``, and the engine passes ``run`` the
+interned canonical instance, whose memo is therefore shared.
 
 Families: ``angle`` and ``sector`` (the paper's two geometries),
 ``covering`` (the dual min-antenna problem), ``knapsack`` (the inner
@@ -58,18 +60,15 @@ class SolveContext:
 
     ``oracle`` is prebuilt from ``eps`` by the engine (fptas below 1.0,
     exact at 1.0) so every spec shares one oracle policy; ``seed`` feeds
-    randomized solvers (lp-round, online arrival order).  ``compiled`` is
-    the instance's shared :class:`~repro.core.compiled.CompiledInstance`
-    view (or :class:`~repro.core.compiled.CompiledItems` for the knapsack
-    family), resolved by the engine via
-    :func:`repro.engine.cache.shared_compiled`; ``None`` lets each solver
-    fall back to the per-object ``instance.compile()`` memo.
+    randomized solvers (lp-round, online arrival order).  Compiled views
+    are not part of the context: every solver reads ``instance.compile()``,
+    and the engine hands it the interned equal-content instance
+    (:func:`repro.engine.cache.intern_instance`), so that memo is shared.
     """
 
     eps: float = 1.0
     seed: int = 0
     oracle: Any = None
-    compiled: Any = None
 
 
 @dataclass(frozen=True)
@@ -232,56 +231,50 @@ def _beta_greedy(beta: float) -> float:
 def _run_greedy(instance, ctx):
     from repro.packing import solve_greedy_multi
 
-    return solve_greedy_multi(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_greedy_multi(instance, ctx.oracle)
 
 
 def _run_adaptive(instance, ctx):
     from repro.packing import solve_greedy_multi
 
-    return solve_greedy_multi(
-        instance, ctx.oracle, adaptive=True, compiled=ctx.compiled
-    )
+    return solve_greedy_multi(instance, ctx.oracle, adaptive=True)
 
 
 def _run_greedy_ls(instance, ctx):
     from repro.packing import improve_solution, solve_greedy_multi
 
-    base = solve_greedy_multi(instance, ctx.oracle, compiled=ctx.compiled)
-    return improve_solution(instance, base, ctx.oracle, compiled=ctx.compiled)
+    base = solve_greedy_multi(instance, ctx.oracle)
+    return improve_solution(instance, base, ctx.oracle)
 
 
 def _run_dp_disjoint(instance, ctx):
     from repro.packing import solve_non_overlapping_dp
 
-    # The candidate grid comes from the compiled view (shared process-wide
-    # when the engine resolved ctx.compiled via shared_compiled).
-    return solve_non_overlapping_dp(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_non_overlapping_dp(instance, ctx.oracle)
 
 
 def _run_shifting(instance, ctx):
     from repro.packing import solve_shifting
 
-    return solve_shifting(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_shifting(instance, ctx.oracle)
 
 
 def _run_insertion(instance, ctx):
     from repro.packing import solve_insertion
 
-    return solve_insertion(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_insertion(instance, ctx.oracle)
 
 
 def _run_lp_round(instance, ctx):
     from repro.packing import solve_lp_rounding
 
-    return solve_lp_rounding(
-        instance, ctx.oracle, seed=ctx.seed, compiled=ctx.compiled
-    )
+    return solve_lp_rounding(instance, ctx.oracle, seed=ctx.seed)
 
 
 def _run_exact_angle(instance, ctx):
     from repro.packing import solve_exact_angle
 
-    return solve_exact_angle(instance, compiled=ctx.compiled)
+    return solve_exact_angle(instance)
 
 
 def _run_exact_anytime(instance, ctx):
@@ -289,13 +282,13 @@ def _run_exact_anytime(instance, ctx):
     # runs to completion when none is active).
     from repro.packing.exact import solve_exact_anytime
 
-    return solve_exact_anytime(instance, budget=None, compiled=ctx.compiled)
+    return solve_exact_anytime(instance, budget=None)
 
 
 def _run_single(instance, ctx):
     from repro.packing import solve_single_antenna
 
-    return solve_single_antenna(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_single_antenna(instance, ctx.oracle)
 
 
 def _run_splittable(instance, ctx):
@@ -303,45 +296,39 @@ def _run_splittable(instance, ctx):
     # optimum (max-flow / LP) for those orientations.
     from repro.packing import solve_greedy_multi, solve_splittable
 
-    plan = solve_greedy_multi(
-        instance, ctx.oracle, adaptive=True, compiled=ctx.compiled
-    )
+    plan = solve_greedy_multi(instance, ctx.oracle, adaptive=True)
     return solve_splittable(instance, plan.orientations)
 
 
 def _run_sector_greedy(instance, ctx):
     from repro.packing import solve_sector_greedy
 
-    return solve_sector_greedy(instance, ctx.oracle, compiled=ctx.compiled)
+    return solve_sector_greedy(instance, ctx.oracle)
 
 
 def _run_sector_greedy_ls(instance, ctx):
     from repro.packing import improve_sector_solution, solve_sector_greedy
 
-    base = solve_sector_greedy(instance, ctx.oracle, compiled=ctx.compiled)
-    return improve_sector_solution(
-        instance, base, ctx.oracle, compiled=ctx.compiled
-    )
+    base = solve_sector_greedy(instance, ctx.oracle)
+    return improve_sector_solution(instance, base, ctx.oracle)
 
 
 def _run_sector_independent(instance, ctx):
     from repro.packing import solve_sector_independent
 
-    return solve_sector_independent(
-        instance, ctx.oracle, compiled=ctx.compiled
-    )
+    return solve_sector_independent(instance, ctx.oracle)
 
 
 def _run_sector_exact(instance, ctx):
     from repro.packing import solve_exact_sector
 
-    return solve_exact_sector(instance, compiled=ctx.compiled)
+    return solve_exact_sector(instance)
 
 
 def _run_greedy_cover(instance, ctx):
     from repro.packing import cover_instance
 
-    return cover_instance(instance, ctx.oracle, compiled=ctx.compiled)
+    return cover_instance(instance, ctx.oracle)
 
 
 def _knapsack_triple(payload) -> Optional[str]:
@@ -361,7 +348,6 @@ def _make_knapsack_run(solver_name: str):
             np.asarray(weights, dtype=np.float64),
             np.asarray(profits, dtype=np.float64),
             float(capacity),
-            compiled=ctx.compiled,
         )
 
     return run
@@ -372,9 +358,7 @@ def _make_online_run(policy_name: str):
         from repro.online import OnlineAdmission, replay_offline_reference
         from repro.packing import solve_greedy_multi
 
-        plan = solve_greedy_multi(
-            instance, ctx.oracle, adaptive=True, compiled=ctx.compiled
-        )
+        plan = solve_greedy_multi(instance, ctx.oracle, adaptive=True)
         rng = np.random.default_rng(ctx.seed)
         order = rng.permutation(instance.n)
         thetas = instance.thetas[order]

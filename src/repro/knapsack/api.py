@@ -136,16 +136,8 @@ class KnapsackSolver:
     def guarantee(self) -> float:
         raise NotImplementedError
 
-    def solve(
-        self, weights, profits, capacity: float, *, compiled=None
-    ) -> KnapsackResult:
-        """Solve one 0/1 knapsack.
-
-        ``compiled`` (optional) is a :class:`repro.core.compiled.
-        CompiledItems` view of exactly these ``weights``/``profits``;
-        solvers that can reuse its precomputed orderings do so, the rest
-        ignore it.  Passing a view of *different* arrays is undefined.
-        """
+    def solve(self, weights, profits, capacity: float) -> KnapsackResult:
+        """Solve one 0/1 knapsack."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -161,9 +153,7 @@ class ExactKnapsack(KnapsackSolver):
     def guarantee(self) -> float:
         return 1.0
 
-    def solve(
-        self, weights, profits, capacity: float, *, compiled=None
-    ) -> KnapsackResult:
+    def solve(self, weights, profits, capacity: float) -> KnapsackResult:
         from repro.knapsack.exact import solve_exact_auto
 
         t0 = time.perf_counter()
@@ -185,9 +175,7 @@ class FptasKnapsack(KnapsackSolver):
     def guarantee(self) -> float:
         return 1.0 - self.eps
 
-    def solve(
-        self, weights, profits, capacity: float, *, compiled=None
-    ) -> KnapsackResult:
+    def solve(self, weights, profits, capacity: float) -> KnapsackResult:
         from repro.knapsack.fptas import solve_fptas
 
         t0 = time.perf_counter()
@@ -205,13 +193,11 @@ class GreedyKnapsack(KnapsackSolver):
     def guarantee(self) -> float:
         return 0.5
 
-    def solve(
-        self, weights, profits, capacity: float, *, compiled=None
-    ) -> KnapsackResult:
+    def solve(self, weights, profits, capacity: float) -> KnapsackResult:
         from repro.knapsack.greedy import solve_greedy
 
         t0 = time.perf_counter()
-        res = solve_greedy(weights, profits, capacity, compiled=compiled)
+        res = solve_greedy(weights, profits, capacity)
         _record_oracle("greedy", int(np.size(weights)), time.perf_counter() - t0)
         return res
 

@@ -3,8 +3,9 @@
 Standard construction (Ibarra–Kim style).  Let ``P`` be the largest profit
 of any item that fits alone and ``mu = eps * P / n``.  Scale every profit to
 ``floor(p_i / mu)`` and run the exact min-weight-per-scaled-profit dynamic
-program, whose table has at most ``n^2 / eps + n`` columns.  For the optimal
-set ``S*``::
+program (:func:`repro.knapsack.profit_dp.min_weight_dp`, the core of the
+exact profit DP), whose table has at most ``n^2 / eps + n`` columns.  For
+the optimal set ``S*``::
 
     q(S*) >= sum_i (p_i/mu - 1) >= OPT/mu - n
 
@@ -14,9 +15,8 @@ The DP returns a feasible set ``S`` with ``q(S) >= q(S*)``, hence::
 
 using ``P <= OPT`` (the best single fitting item is itself feasible).
 
-The DP relaxation over items is vectorized: each item updates the whole
-row with one shifted ``minimum`` (HPC-guide idiom), so the Python-level
-loop is only over the ``n`` items.
+Items whose scaled profit is zero contribute ``< mu`` each, so the DP
+skips them at a total cost of at most ``eps * P`` (accounted for above).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.knapsack.api import KnapsackResult, _as_arrays
+from repro.knapsack.profit_dp import min_weight_dp
 from repro.obs.metrics import get_registry
-from repro.resilience.budget import tick_nodes as _budget_tick
 
 #: Safety cap on DP cells (columns x items for the choice bitmap).
 _MAX_DP_CELLS = 80_000_000
@@ -68,33 +68,8 @@ def solve_fptas(weights, profits, capacity: float, eps: float = 0.1) -> Knapsack
         )
     _DP_CELLS.inc((Q + 1) * (m + 1))
 
-    INF = np.inf
-    # dp[q] = minimum weight achieving scaled profit exactly q.
-    dp = np.full(Q + 1, INF, dtype=np.float64)
-    dp[0] = 0.0
-    take = np.zeros((m, Q + 1), dtype=bool)
-    for j in range(m):
-        _budget_tick()  # amortized ambient-budget check per DP row
-        q = int(scaled[j])
-        if q == 0:
-            # Contributes < mu profit; ignoring it costs at most eps*P total
-            # (accounted for in the guarantee above).
-            continue
-        cand = dp[: Q + 1 - q] + wf[j]
-        improved = cand < dp[q:]
-        take[j, q:] = improved
-        np.minimum(dp[q:], cand, out=dp[q:])
-
-    feasible = np.flatnonzero(dp <= cap * (1.0 + 1e-12))
-    qstar = int(feasible.max())
-    # Reconstruct the chosen subset.
-    chosen = []
-    q = qstar
-    for j in range(m - 1, -1, -1):
-        if q >= 0 and take[j, q]:
-            chosen.append(int(idx[j]))
-            q -= int(scaled[j])
-    result = KnapsackResult.of(np.array(chosen[::-1], dtype=np.intp), w, p)
+    chosen = idx[min_weight_dp(wf, scaled, cap)]
+    result = KnapsackResult.of(np.asarray(chosen, dtype=np.intp), w, p)
     # The scaled optimum can be beaten by the best single item when
     # everything scales to zero; never return worse than that.
     best_single = idx[int(np.argmax(pf))]

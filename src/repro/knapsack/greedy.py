@@ -21,16 +21,8 @@ from repro.core.backend import greedy_prefix_mask
 from repro.knapsack.api import KnapsackResult, _as_arrays, _fits
 
 
-def solve_greedy(
-    weights, profits, capacity: float, *, compiled=None
-) -> KnapsackResult:
+def solve_greedy(weights, profits, capacity: float) -> KnapsackResult:
     """Density greedy + best single item; ``value >= OPT / 2``; ``O(n log n)``.
-
-    ``compiled`` (optional) is a :class:`repro.core.compiled.CompiledItems`
-    view of these exact arrays; its precomputed stable density order is
-    then restricted to the fitting items instead of re-sorted.  The
-    restriction of a stable global sort to a subset equals the stable sort
-    of that subset, so the result is identical.
 
     The acceptance scan ("take while it fits, keep scanning past
     misfits") runs as the vectorized
@@ -51,14 +43,8 @@ def solve_greedy(
         return KnapsackResult.empty()
     idx = np.flatnonzero(useful)
 
-    if compiled is not None and compiled.n == n:
-        dord = compiled.density_order
-        order = dord[useful[dord]]
-    else:
-        dens = np.where(
-            w[idx] > 1e-12, p[idx] / np.maximum(w[idx], 1e-300), np.inf
-        )
-        order = idx[np.argsort(-dens, kind="stable")]
+    dens = np.where(w[idx] > 1e-12, p[idx] / np.maximum(w[idx], 1e-300), np.inf)
+    order = idx[np.argsort(-dens, kind="stable")]
 
     greedy_sel = np.asarray(order[greedy_prefix_mask(w[order], cap)],
                             dtype=np.intp)

@@ -3,23 +3,58 @@
 The complement of :func:`repro.knapsack.exact.solve_exact_integer`: that DP
 is ``O(n * C)`` over integral *weights*; this one is ``O(n * P)`` over
 integral *profits* (``P`` = total profit) and handles arbitrary float
-weights.  It is the exact backbone the FPTAS scales its profits into, so
-sharing the implementation keeps the two consistent; with the paper's
-profit-equals-demand objective on integer demands either DP applies.
+weights.  Its core, :func:`min_weight_dp`, is the one DP the FPTAS
+(:mod:`repro.knapsack.fptas`) also runs on its scaled profits; with the
+paper's profit-equals-demand objective on integer demands either exact DP
+applies.
 """
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro.knapsack.api import KnapsackResult, _as_arrays
+from repro.knapsack.exact import _is_integral
+from repro.resilience.budget import tick_nodes as _budget_tick
 
 #: Safety cap on DP cells (items x profit columns).
 _MAX_DP_CELLS = 50_000_000
 
 
-def _is_integral(arr: np.ndarray) -> bool:
-    return bool(np.allclose(arr, np.round(arr), atol=1e-9))
+def min_weight_dp(weights: np.ndarray, profits: np.ndarray,
+                  capacity: float) -> List[int]:
+    """Positions of a max-profit subset within ``capacity``, ascending.
+
+    ``profits`` are non-negative integers.  ``dp[q]`` is the minimum weight
+    achieving profit exactly ``q``; the answer is the largest ``q`` with
+    ``dp[q] <= capacity``, reconstructed from the per-item choice bitmap.
+    Vectorized over the profit axis (one shifted ``minimum`` per item,
+    zero-profit items skipped); ticks the ambient budget once per item row.
+    The caller bounds the table size.
+    """
+    m = int(profits.size)
+    total = int(profits.sum())
+    dp = np.full(total + 1, np.inf)
+    dp[0] = 0.0
+    take = np.zeros((m, total + 1), dtype=bool)
+    for j in range(m):
+        _budget_tick()
+        q = int(profits[j])
+        if q == 0:
+            continue
+        cand = dp[: total + 1 - q] + weights[j]
+        improved = cand < dp[q:]
+        take[j, q:] = improved
+        np.minimum(dp[q:], cand, out=dp[q:])
+    q = int(np.flatnonzero(dp <= capacity * (1.0 + 1e-12)).max())
+    chosen = []
+    for j in range(m - 1, -1, -1):
+        if q >= 0 and take[j, q]:
+            chosen.append(j)
+            q -= int(profits[j])
+    return chosen[::-1]
 
 
 def solve_exact_by_profit(weights, profits, capacity: float) -> KnapsackResult:
@@ -42,7 +77,6 @@ def solve_exact_by_profit(weights, profits, capacity: float) -> KnapsackResult:
     # zero-profit items never help; unfitting items never legal
     if idx.size == 0:
         return KnapsackResult.empty()
-    wf = w[idx]
     pf = np.round(p[idx]).astype(np.int64)
     m = idx.size
     P = int(pf.sum())
@@ -50,21 +84,5 @@ def solve_exact_by_profit(weights, profits, capacity: float) -> KnapsackResult:
         raise ValueError(
             f"profit DP table {m} x {P} exceeds cap; use branch & bound"
         )
-    dp = np.full(P + 1, np.inf)
-    dp[0] = 0.0
-    take = np.zeros((m, P + 1), dtype=bool)
-    for j in range(m):
-        q = int(pf[j])
-        cand = dp[: P + 1 - q] + wf[j]
-        improved = cand < dp[q:]
-        take[j, q:] = improved
-        np.minimum(dp[q:], cand, out=dp[q:])
-    feasible = np.flatnonzero(dp <= cap * (1.0 + 1e-12))
-    qstar = int(feasible.max())
-    chosen = []
-    q = qstar
-    for j in range(m - 1, -1, -1):
-        if q >= 0 and take[j, q]:
-            chosen.append(int(idx[j]))
-            q -= int(pf[j])
-    return KnapsackResult.of(np.array(chosen[::-1], dtype=np.intp), w, p)
+    chosen = idx[min_weight_dp(w[idx], pf, cap)]
+    return KnapsackResult.of(np.asarray(chosen, dtype=np.intp), w, p)

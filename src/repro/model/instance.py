@@ -267,9 +267,11 @@ class AngleInstance:
         Builds the :class:`~repro.core.compiled.CompiledAngleInstance`
         struct-of-arrays view (stable angular sort, demand/profit prefix
         sums, per-width sweeps, candidate grids) on first call and caches
-        it on the object.  The engine's fingerprint-keyed cache
-        (:func:`repro.engine.cache.shared_compiled`) extends this memo
-        across equal-content instances.
+        it on the object.  This is the only compile memo: every solver,
+        bound and verifier reads it, and no process-wide cache is
+        consulted.  The engine shares it across equal-content instances by
+        solving on one interned canonical object
+        (:func:`repro.engine.cache.intern_instance`).
 
         The memo assumes the instance arrays are immutable (they are
         created read-only); a cheap content fingerprint re-checked on

@@ -41,6 +41,11 @@ which is what makes delta-apply ≥5× cheaper than a recompile at n ≥ 10⁴
 (the ``slow`` test ``tests/test_online_delta.py::TestTimingGate`` enforces
 this at n = 3·10⁴).
 
+Engine integration: :meth:`DeltaCompiledInstance.publish` registers the
+current-generation instance as the engine's canonical instance for its
+fingerprint (:func:`repro.engine.cache.intern_instance`), so engine
+solves of that content run on the patched view instead of recompiling.
+
 Per-sector cache invalidation: callers tag engine result-cache keys with
 the angular window they were solved over (:meth:`register_window`); an
 event touching angle θ evicts exactly the keys whose window contains θ
@@ -882,16 +887,18 @@ class DeltaCompiledInstance:
 
     # -- engine integration --------------------------------------------
     def publish(self) -> str:
-        """Seed the engine compile cache with the current view.
+        """Register the current generation as the engine's canonical instance.
 
-        ``shared_compiled`` builds fresh on a miss; publishing after every
-        apply means engine solves of the current generation hit the patched
-        view instead of recompiling.  Returns the content fingerprint.
+        The engine solves on the interned equal-content instance
+        (:func:`repro.engine.cache.intern_instance`); publishing after every
+        apply makes that the patched instance, whose ``compile()`` memo is
+        the patched view, so engine solves of the current generation
+        recompile nothing.  Returns the content fingerprint.
         """
         from repro.engine.cache import COMPILE_CACHE, fingerprint
 
         fp = fingerprint(self._instance)
-        COMPILE_CACHE.put(("compiled", fp), self._compiled)
+        COMPILE_CACHE.put(fp, self._instance)
         return fp
 
     # -- sector-window helpers -----------------------------------------

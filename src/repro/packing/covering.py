@@ -29,20 +29,18 @@ result is reported together with an instance-specific optimality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.geometry.angles import TWO_PI
+from repro.geometry.sweep import CircularSweep
 from repro.knapsack.api import KnapsackSolver
 from repro.model.antenna import AntennaSpec
 from repro.model.instance import AngleInstance
 from repro.model.solution import AngleSolution
 from repro.numerics import ceil_units, fits, overloads
 from repro.packing.single import best_rotation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 
 class InfeasibleCoverError(ValueError):
@@ -148,7 +146,6 @@ def greedy_cover(
     spec: AntennaSpec,
     oracle: KnapsackSolver,
     max_antennas: Optional[int] = None,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> CoverResult:
     """Serve every customer using greedy max-remaining-demand placements.
 
@@ -156,11 +153,21 @@ def greedy_cover(
     capacity, and ``RuntimeError`` if ``max_antennas`` (default
     ``4 * n``) placements do not finish — which cannot happen for a
     feasible instance, since every round serves at least one customer.
-
-    ``compiled`` (optional) must be the compiled view of an instance whose
-    (normalized) angles equal ``thetas``; each round then derives its
-    subset sweep from the shared sort instead of re-sorting.
     """
+    return _greedy_cover(thetas, demands, spec, oracle, max_antennas,
+                         subset_sweep=lambda idx: None)
+
+
+def _greedy_cover(
+    thetas: np.ndarray,
+    demands: np.ndarray,
+    spec: AntennaSpec,
+    oracle: KnapsackSolver,
+    max_antennas: Optional[int],
+    subset_sweep: Callable[[np.ndarray], Optional[CircularSweep]],
+) -> CoverResult:
+    """The cover loop; ``subset_sweep(idx)`` supplies each round's sweep
+    over ``thetas[idx]`` at width ``spec.rho`` (``None`` = sort afresh)."""
     thetas = np.asarray(thetas, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
     n = thetas.size
@@ -194,9 +201,7 @@ def greedy_cover(
             demands[idx],
             spec,
             oracle,
-            sweep=(
-                None if compiled is None else compiled.subset_sweep(idx, spec.rho)
-            ),
+            sweep=subset_sweep(idx),
         )
         if out.selected.size == 0:
             # Cannot happen when every demand fits capacity: the window at
@@ -218,23 +223,19 @@ def greedy_cover(
 def cover_instance(
     instance: AngleInstance,
     oracle: KnapsackSolver,
-    compiled: Optional["CompiledAngleInstance"] = None,
-    **kwargs,
+    max_antennas: Optional[int] = None,
 ) -> CoverResult:
     """Cover all customers of an instance with copies of its first antenna.
 
-    Convenience wrapper: uses ``instance.antennas[0]`` as the repeatable
-    spec (the covering question is posed for one antenna type) and the
-    instance's compiled view for the per-round subset sweeps.
+    Uses ``instance.antennas[0]`` as the repeatable spec (the covering
+    question is posed for one antenna type); each round derives its
+    subset sweep from ``instance.compile()`` instead of re-sorting.
     """
-    compiled = instance.compile() if compiled is None else compiled
-    return greedy_cover(
-        instance.thetas,
-        instance.demands,
-        instance.antennas[0],
-        oracle,
-        compiled=compiled,
-        **kwargs,
+    spec = instance.antennas[0]
+    compiled = instance.compile()
+    return _greedy_cover(
+        instance.thetas, instance.demands, spec, oracle, max_antennas,
+        subset_sweep=lambda idx: compiled.subset_sweep(idx, spec.rho),
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,16 +39,10 @@ from repro.packing.flow import covered_matrix
 from repro.resilience.anytime import AnytimeOutcome
 from repro.resilience.budget import Budget, BudgetExpired, current_budget
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
-
 # Anytime-solve telemetry (contract: docs/RESILIENCE.md).
 _REG = get_registry()
 _ANYTIME_SOLVES = _REG.counter("resilience.anytime_solves")
 _ANYTIME_GAP = _REG.gauge("resilience.anytime_gap")
-
-#: Check the budget only every this many B&B nodes (amortization).
-_BUDGET_STRIDE = 256
 
 
 def exact_assignment(
@@ -69,7 +63,8 @@ def exact_assignment(
     remaining capacity.  Raises ``RuntimeError`` past ``max_nodes``.
 
     Under a ``budget`` (explicit, falling back to the thread's ambient
-    one) the search checkpoints every ``_BUDGET_STRIDE`` nodes; on expiry
+    one) every node ticks it (the budget itself reads the clock only every
+``check_stride`` ticks); on expiry
     it raises :class:`BudgetExpired` with the best incumbent so far and
     the root fractional bound attached (``exc.incumbent`` /
     ``exc.incumbent_value`` / ``exc.upper_bound``).
@@ -122,8 +117,8 @@ def exact_assignment(
             raise RuntimeError(
                 f"exact assignment exceeded {max_nodes} nodes; instance too large"
             )
-        if budget is not None and nodes % _BUDGET_STRIDE == 0:
-            budget.tick(_BUDGET_STRIDE)
+        if budget is not None:
+            budget.tick()
         if value > best_value:
             best_value = value
             best_assign = cur.copy()
@@ -187,11 +182,10 @@ def solve_exact_fixed_orientations(
 
 
 def _orientation_candidates(
-    instance: AngleInstance,
-    require_disjoint: bool,
-    compiled: "CompiledAngleInstance",
+    instance: AngleInstance, require_disjoint: bool
 ) -> List[List[float]]:
     """Candidate orientations per antenna, deduplicated by coverage."""
+    compiled = instance.compile()
     grid = compiled.candidates() if require_disjoint else None
     out: List[List[float]] = []
     for spec in instance.antennas:
@@ -225,7 +219,6 @@ def _enumerate_exact(
     budget: Optional[Budget],
     seed: Optional[AngleSolution],
     seed_value: float,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> Tuple[Optional[AngleSolution], float, int]:
     """Shared enumeration core of the exact and anytime front ends.
 
@@ -239,8 +232,8 @@ def _enumerate_exact(
     together with a budget).
     """
     n, k = instance.n, instance.k
-    compiled = instance.compile() if compiled is None else compiled
-    cand = _orientation_candidates(instance, require_disjoint, compiled)
+    compiled = instance.compile()
+    cand = _orientation_candidates(instance, require_disjoint)
     # In the disjoint variant an antenna may be switched OFF (idle beams do
     # not radiate), represented by candidate ``None``.
     if require_disjoint:
@@ -333,7 +326,6 @@ def solve_exact_angle(
     max_tuples: int = 500_000,
     max_nodes_per_tuple: int = 500_000,
     budget: Optional[Budget] = None,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Globally optimal solution by orientation enumeration + exact assignment.
 
@@ -356,7 +348,6 @@ def solve_exact_angle(
         budget,
         seed=None,
         seed_value=-1.0,
-        compiled=compiled,
     )
     assert best is not None
     return best
@@ -368,7 +359,6 @@ def solve_exact_anytime(
     require_disjoint: bool = False,
     max_nodes_per_tuple: int = 500_000,
     max_tuples: Optional[int] = 500_000,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AnytimeOutcome:
     """Budget-bounded exact solve with certified bounds (never hangs).
 
@@ -405,7 +395,7 @@ def solve_exact_anytime(
     if require_disjoint:
         seed: AngleSolution = AngleSolution.empty(instance)
     else:
-        seed = solve_greedy_multi(instance, get_solver("greedy"), compiled=compiled)
+        seed = solve_greedy_multi(instance, get_solver("greedy"))
     seed_value = seed.value(instance)
 
     reason, optimal = "complete", True
@@ -419,7 +409,6 @@ def solve_exact_anytime(
             budget,
             seed=seed,
             seed_value=seed_value,
-            compiled=compiled,
         )
     except BudgetExpired as exc:
         best = exc.incumbent if exc.incumbent is not None else seed

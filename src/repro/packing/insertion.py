@@ -30,7 +30,7 @@ the same order as shifting, without choosing ``t``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -41,29 +41,24 @@ from repro.model.instance import AngleInstance
 from repro.model.solution import AngleSolution
 from repro.numerics import fits
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
-
 
 def solve_insertion(
     instance: AngleInstance,
     oracle: KnapsackSolver,
     boundary_fill: bool = True,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Non-overlapping packing by conflict-greedy window insertion.
 
     Identical antennas only (the score table is shared); the returned
     solution satisfies ``verify(instance, require_disjoint=True)``.
-    ``compiled`` is the shared precomputation view (defaults to
-    ``instance.compile()``).
+    Sweeps and prefix sums come from ``instance.compile()``.
     """
     if not instance.has_uniform_antennas:
         raise ValueError("insertion heuristic requires identical antennas")
     n, k = instance.n, instance.k
     if n == 0:
         return AngleSolution.empty(instance)
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     spec = instance.antennas[0]
 
     sweep = compiled.sweep(spec.rho)

@@ -15,8 +15,6 @@ rounding (experiment E5 measures its contribution).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
 
 from repro.geometry.arcs import Arc
@@ -25,9 +23,6 @@ from repro.model.instance import AngleInstance
 from repro.model.solution import AngleSolution
 from repro.numerics import fits
 from repro.packing.single import best_rotation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 
 def _fill_pass(
@@ -109,17 +104,15 @@ def improve_solution(
     solution: AngleSolution,
     oracle: KnapsackSolver,
     max_rounds: int = 10,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Monotone local search: returns a solution with value >= the input's.
 
     ``oracle`` drives the re-rotation move's inner knapsack.  Terminates
     after ``max_rounds`` full passes or at the first pass with no
-    improvement.  ``compiled`` is the shared precomputation view (defaults
-    to ``instance.compile()``); the re-rotation move derives its subset
-    sweeps from it instead of re-sorting per candidate antenna.
+    improvement.  The re-rotation move derives its subset sweeps from
+    ``instance.compile()`` instead of re-sorting per candidate antenna.
     """
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     orientations = solution.orientations.copy()
     assignment = solution.assignment.copy()
     best_value = float(instance.profits[assignment >= 0].sum())

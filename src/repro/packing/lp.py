@@ -29,7 +29,7 @@ deterministic argmax-``y`` profile) is returned.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +41,6 @@ from repro.model.solution import AngleSolution
 from repro.obs import span
 from repro.obs.metrics import get_registry
 from repro.packing.assignment import greedy_assignment_fixed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 # Solver-level telemetry (contract: docs/OBSERVABILITY.md).
 _REG = get_registry()
@@ -60,7 +57,6 @@ _LP_SAMPLES = _REG.counter("lp.rounding_samples")
 def _candidates(
     instance: AngleInstance,
     max_candidates: Optional[int] = None,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> List[List[Tuple[float, np.ndarray]]]:
     """Per-antenna list of ``(alpha, covered original indices)``.
 
@@ -69,7 +65,7 @@ def _candidates(
     windows with the largest covered profit (for rounding use only — see
     module docstring).
     """
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     out: List[List[Tuple[float, np.ndarray]]] = []
     for spec in instance.antennas:
         sweep = compiled.sweep(spec.rho)
@@ -91,7 +87,6 @@ def solve_lp_relaxation(
     instance: AngleInstance,
     max_candidates: Optional[int] = None,
     tighten: bool = False,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> Tuple[float, List[np.ndarray], List[List[Tuple[float, np.ndarray]]]]:
     """Solve the relaxation; returns ``(value, y_per_antenna, candidates)``.
 
@@ -101,7 +96,7 @@ def solve_lp_relaxation(
     """
     n, k = instance.n, instance.k
     with _LP_CANDS.time():
-        cands = _candidates(instance, max_candidates, compiled)
+        cands = _candidates(instance, max_candidates)
     if n == 0:
         return 0.0, [np.zeros(len(c)) for c in cands], cands
 
@@ -198,7 +193,6 @@ def solve_lp_rounding(
     seed: int = 0,
     max_candidates: Optional[int] = None,
     tighten: bool = False,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Randomized rounding of the LP: best of ``rounds`` sampled profiles.
 
@@ -210,7 +204,7 @@ def solve_lp_rounding(
     t0 = time.perf_counter()
     with span("solver.lp_rounding", n=int(instance.n), k=int(instance.k),
               rounds=int(rounds)) as spn:
-        _, y, cands = solve_lp_relaxation(instance, max_candidates, tighten, compiled)
+        _, y, cands = solve_lp_relaxation(instance, max_candidates, tighten)
         rng = np.random.default_rng(seed)
         k = instance.k
 

@@ -32,7 +32,7 @@ heterogeneous antennas it tracks a bitmask of used antennas
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from repro.obs.metrics import get_registry
 from repro.packing.single import best_rotation
 from repro.resilience.budget import checkpoint as _budget_checkpoint
 from repro.resilience.budget import tick_nodes as _budget_tick
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 # Solver-level telemetry (contract: docs/OBSERVABILITY.md).
 _REG = get_registry()
@@ -65,7 +62,6 @@ def solve_greedy_multi(
     oracle: KnapsackSolver,
     adaptive: bool = False,
     antenna_order: Optional[Sequence[int]] = None,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Greedy multi-antenna packing; ``beta/(1+beta)``-approximation.
 
@@ -81,14 +77,14 @@ def solve_greedy_multi(
         processed in ``antenna_order`` (default: decreasing capacity).
     antenna_order:
         Explicit processing order for the non-adaptive mode.
-    compiled:
-        Shared precomputation view (defaults to ``instance.compile()``):
-        the first round reuses its memoized full-instance sweeps and prefix
-        sums, later rounds derive subset sweeps without re-sorting.
+
+    The first round reuses the full-instance sweeps and prefix sums of
+    ``instance.compile()``; later rounds derive subset sweeps from it
+    without re-sorting.
     """
     n, k = instance.n, instance.k
     t0 = time.perf_counter()
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     assignment = np.full(n, -1, dtype=np.int64)
     orientations = np.zeros(k, dtype=np.float64)
     remaining = np.ones(n, dtype=bool)
@@ -168,14 +164,14 @@ def _window_profit_tables(
     instance: AngleInstance,
     candidates: np.ndarray,
     oracle: KnapsackSolver,
-    compiled: "CompiledAngleInstance",
 ) -> Tuple[dict, dict]:
     """Oracle value for every (distinct antenna spec, candidate start).
 
     Returns ``(profits, picks)`` keyed by ``(rho, capacity)``: arrays of
     window values and per-window oracle selections (original indices).
-    Identical specs share one table; sweeps come from the compiled view.
+    Identical specs share one table; sweeps come from ``instance.compile()``.
     """
+    compiled = instance.compile()
     profits: dict = {}
     picks: dict = {}
     for spec in instance.antennas:
@@ -216,7 +212,6 @@ def solve_non_overlapping_dp(
     candidates: Optional[np.ndarray] = None,
     max_mask_antennas: int = 12,
     boundary_fill: bool = True,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Optimal non-overlapping rotation (up to the oracle's factor).
 
@@ -225,8 +220,7 @@ def solve_non_overlapping_dp(
     at least ``oracle.guarantee`` times the optimal *non-overlapping*
     value.  Note this variant's optimum can be strictly below the general
     optimum (overlapping arcs help on hotspots); see experiment E5.
-    ``compiled`` supplies the memoized candidate grid and per-width sweeps
-    (defaults to ``instance.compile()``).
+    The default candidate grid is the memoized one of ``instance.compile()``.
     """
     n, k = instance.n, instance.k
     if n == 0:
@@ -235,9 +229,8 @@ def solve_non_overlapping_dp(
         raise ValueError(
             f"non-overlapping DP tracks an antenna bitmask; k={k} too large"
         )
-    compiled = instance.compile() if compiled is None else compiled
     if candidates is None:
-        candidates = compiled.candidates()
+        candidates = instance.compile().candidates()
     candidates = np.sort(np.asarray(candidates, dtype=np.float64))
     widths = [a.rho for a in instance.antennas]
     m = candidates.size
@@ -246,7 +239,7 @@ def solve_non_overlapping_dp(
               candidates=int(m)) as sp:
         with _DP_TABLES.time():
             prof_tab, pick_tab = _window_profit_tables(
-                instance, candidates, oracle, compiled
+                instance, candidates, oracle
             )
         keys = [(a.rho, a.capacity) for a in instance.antennas]
         uniform = len(set(keys)) == 1

@@ -23,7 +23,7 @@ solvers here lift the 1-D machinery through that reduction:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -39,9 +39,6 @@ from repro.obs.metrics import get_registry
 from repro.packing.multi import solve_greedy_multi
 from repro.packing.single import best_rotation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledSectorInstance
-
 # Solver-level telemetry (contract: docs/OBSERVABILITY.md).
 _REG = get_registry()
 _SG_TIMER = _REG.timer("solver.sector_greedy")
@@ -52,15 +49,13 @@ _SI_TIMER = _REG.timer("solver.sector_independent")
 def sector_covered_matrix(
     instance: SectorInstance,
     orientations: Sequence[float] | np.ndarray,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> np.ndarray:
     """Boolean ``(n, K)``: customer inside antenna ``g``'s oriented sector."""
     ori = np.asarray(orientations, dtype=np.float64).reshape(-1)
     K = instance.total_antennas
     if ori.shape != (K,):
         raise ValueError(f"orientations must have shape ({K},), got {ori.shape}")
-    compiled = instance.compile() if compiled is None else compiled
-    masks, thetas_per, _ = compiled.eligibility()
+    masks, thetas_per, _ = instance.compile().eligibility()
     out = np.zeros((instance.n, K), dtype=bool)
     for g, s_id, spec in instance.antenna_table():
         ang = angles_in_window(thetas_per[g], float(ori[g]), spec.rho)
@@ -123,7 +118,6 @@ def solve_exact_sector(
     instance: SectorInstance,
     max_tuples: int = 200_000,
     max_nodes_per_tuple: int = 500_000,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> "SectorSolution":
     """Globally optimal 2-D solution for *small* instances (any stations).
 
@@ -144,7 +138,7 @@ def solve_exact_sector(
     K = instance.total_antennas
     if n == 0:
         return SectorSolution.empty(instance)
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     masks, thetas_per, _ = compiled.eligibility()
     table = instance.antenna_table()
 
@@ -215,22 +209,20 @@ def solve_sector_greedy(
     instance: SectorInstance,
     oracle: KnapsackSolver,
     adaptive: bool = True,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> SectorSolution:
     """Global greedy over every antenna of every station.
 
     ``adaptive=True`` re-evaluates all unused antennas each round and
     commits the single best (the separable-assignment greedy);
     ``adaptive=False`` processes antennas once in decreasing capacity
-    order (k× fewer oracle calls, same guarantee).  ``compiled`` is the
-    shared precomputation view (defaults to ``instance.compile()``); the
-    per-round rotation searches derive their subset sweeps from its
-    per-station sorted angles instead of re-sorting.
+    order (k× fewer oracle calls, same guarantee).  The per-round
+    rotation searches derive their subset sweeps from the per-station
+    sorted angles of ``instance.compile()`` instead of re-sorting.
     """
     n = instance.n
     K = instance.total_antennas
     t0 = time.perf_counter()
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     assignment = np.full(n, -1, dtype=np.int64)
     orientations = np.zeros(K, dtype=np.float64)
     remaining = np.ones(n, dtype=bool)
@@ -289,7 +281,6 @@ def solve_sector_greedy(
 def solve_sector_independent(
     instance: SectorInstance,
     oracle: KnapsackSolver,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> SectorSolution:
     """Baseline: nearest-station partition, then independent 1-D solves.
 
@@ -305,7 +296,7 @@ def solve_sector_independent(
     n = instance.n
     K = instance.total_antennas
     t0 = time.perf_counter()
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     assignment = np.full(n, -1, dtype=np.int64)
     orientations = np.zeros(K, dtype=np.float64)
     # Station of each customer: nearest effective reaching station or -1.
@@ -362,7 +353,6 @@ def improve_sector_solution(
     solution: "SectorSolution",
     oracle: KnapsackSolver,
     max_rounds: int = 5,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> "SectorSolution":
     """Monotone local search on a 2-D solution (the sector analogue of
     :func:`repro.packing.local_search.improve_solution`).
@@ -374,7 +364,7 @@ def improve_sector_solution(
     """
     assignment = solution.assignment.copy()
     orientations = solution.orientations.copy()
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     masks, thetas_per, _ = compiled.eligibility()
     table = instance.antenna_table()
     K = instance.total_antennas
@@ -410,7 +400,6 @@ def improve_sector_solution(
 def solve_sector_splittable(
     instance: SectorInstance,
     orientations: Sequence[float] | np.ndarray,
-    compiled: Optional["CompiledSectorInstance"] = None,
 ) -> Tuple[np.ndarray, float]:
     """Exact splittable optimum for fixed orientations.
 
@@ -419,7 +408,7 @@ def solve_sector_splittable(
     upper-bounds every unsplittable solution at these orientations.
     """
     ori = np.asarray(orientations, dtype=np.float64).reshape(-1)
-    cover = sector_covered_matrix(instance, ori, compiled=compiled)
+    cover = sector_covered_matrix(instance, ori)
     n, K = instance.n, instance.total_antennas
     caps = np.array([spec.capacity for _, _, spec in instance.antenna_table()])
     fractions = np.zeros((n, K), dtype=np.float64)

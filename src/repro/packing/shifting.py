@@ -27,7 +27,7 @@ measures this loss against the exact DP as ``t`` grows.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from repro.obs import span
 from repro.obs.metrics import get_registry
 from repro.resilience.budget import checkpoint as _budget_checkpoint
 from repro.resilience.budget import tick_nodes as _budget_tick
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 # Solver-level telemetry (contract: docs/OBSERVABILITY.md).
 _REG = get_registry()
@@ -57,7 +54,6 @@ def solve_shifting(
     oracle: KnapsackSolver,
     t: int = 8,
     boundary_fill: bool = True,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Best-of-``t``-cuts disjoint packing; requires identical antennas.
 
@@ -66,8 +62,8 @@ def solve_shifting(
         value >= oracle.guarantee * (1 - rho/(2*pi) - 1/t) * OPT_no
 
     Complexity: ``O(n)`` oracle calls once, plus ``t`` linear DPs of size
-    ``O(n k)``.  ``compiled`` is the shared precomputation view (defaults
-    to ``instance.compile()``), supplying the sweep and demand prefix.
+    ``O(n k)``.  The sweep and demand prefix come from
+    ``instance.compile()``.
     """
     if t < 1:
         raise ValueError(f"need at least one cut, got t={t}")
@@ -76,7 +72,7 @@ def solve_shifting(
     n, k = instance.n, instance.k
     if n == 0:
         return AngleSolution.empty(instance)
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     spec = instance.antennas[0]
     rho = spec.rho
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,9 +39,6 @@ from repro.model.solution import AngleSolution, FractionalSolution
 from repro.numerics import fits
 from repro.obs import span
 from repro.obs.metrics import get_registry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledAngleInstance
 
 # Rotation-search telemetry (contract: docs/OBSERVABILITY.md).  Per-window
 # work is aggregated locally and flushed once per search, so the inner
@@ -227,17 +224,16 @@ def best_rotation_fractional(
 def solve_single_antenna(
     instance: AngleInstance,
     oracle: KnapsackSolver,
-    compiled: Optional["CompiledAngleInstance"] = None,
 ) -> AngleSolution:
     """Solve a ``k == 1`` instance with the given knapsack oracle.
 
     Raises ``ValueError`` when the instance has more than one antenna (use
-    the multi-antenna solvers instead).  ``compiled`` is the optional
-    shared precomputation view (defaults to ``instance.compile()``).
+    the multi-antenna solvers instead).  The sweep and prefix sums come
+    from ``instance.compile()``.
     """
     if instance.k != 1:
         raise ValueError(f"solve_single_antenna needs k == 1, got k={instance.k}")
-    compiled = instance.compile() if compiled is None else compiled
+    compiled = instance.compile()
     spec = instance.antennas[0]
     out = best_rotation(
         instance.thetas,

@@ -31,6 +31,7 @@ import time
 from typing import Awaitable, Callable, List, Optional
 
 from repro.engine import SolveReport, SolveRequest
+from repro.errors import error_text
 from repro.obs.metrics import get_registry
 
 __all__ = ["Overloaded", "MicroBatcher"]
@@ -241,7 +242,7 @@ class MicroBatcher:
                         family=pending.request.family,
                         algorithm=pending.request.algorithm,
                         label=pending.request.label,
-                        error=f"{type(exc).__name__}: {exc}",
+                        error=error_text(exc),
                     ),
                 )
             return

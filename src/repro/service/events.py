@@ -29,6 +29,7 @@ from typing import Any, Optional, Tuple
 
 from repro.engine import SolveReport, SolveRequest
 from repro.engine.core import _solve_worker
+from repro.errors import error_text
 from repro.obs.metrics import get_registry
 from repro.online.delta import DeltaCompiledInstance, Event
 
@@ -195,7 +196,7 @@ def execute_event(request: EventRequest) -> SolveReport:
             algorithm="delta",
             seconds=time.perf_counter() - t0,
             label=request.label,
-            error=f"{type(exc).__name__}: {exc}",
+            error=error_text(exc),
             extra={"session": request.session},
         )
 

@@ -27,6 +27,15 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.engine import SolveReport, SolveRequest
+from repro.errors import (
+    EXIT_INTERNAL,
+    EXIT_INVALID_INPUT,
+    EXIT_OK,
+    EXIT_OVERLOADED,
+    EXIT_TIMEOUT,
+    EXIT_USAGE,
+    status_from_error,
+)
 
 __all__ = [
     "STATUS_OK",
@@ -45,44 +54,41 @@ __all__ = [
     "status_from_error",
 ]
 
-#: Wire status codes — the CLI exit-code contract plus ``5`` (shed).
-STATUS_OK = 0
-STATUS_INTERNAL = 1
-STATUS_USAGE = 2
-STATUS_INVALID_INPUT = 3
-STATUS_TIMEOUT = 4
-STATUS_OVERLOADED = 5
+#: Wire status codes — the CLI exit codes of :mod:`repro.errors`, whose
+#: one exception table classifies failures on both paths
+#: (:func:`status_from_error` reads a report's ``error`` back).
+STATUS_OK = EXIT_OK
+STATUS_INTERNAL = EXIT_INTERNAL
+STATUS_USAGE = EXIT_USAGE
+STATUS_INVALID_INPUT = EXIT_INVALID_INPUT
+STATUS_TIMEOUT = EXIT_TIMEOUT
+STATUS_OVERLOADED = EXIT_OVERLOADED
 
-#: Exception-type name (the prefix of ``SolveReport.error``) -> status.
-#: Mirrors the CLI's exception-to-exit-code mapping in ``repro.cli.main``.
-_ERROR_STATUS = {
-    "BudgetExpired": STATUS_TIMEOUT,
-    "InvalidInstanceError": STATUS_INVALID_INPUT,
-    "JSONDecodeError": STATUS_INVALID_INPUT,
-    "OSError": STATUS_INVALID_INPUT,
-    "FeasibilityError": STATUS_INTERNAL,
-    "ValueError": STATUS_USAGE,
-    "KeyError": STATUS_USAGE,
-    "TypeError": STATUS_USAGE,
-    "WorkerUnavailable": STATUS_OVERLOADED,
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+#: Solve options — field -> (converter, default) — shared by a ``solve``
+#: envelope and an ``event``'s ``resolve`` object (:func:`_solve_options`).
+_SOLVE_OPTIONS = {
+    "family": (str, "auto"),
+    "algorithm": (str, "auto"),
+    "eps": (float, 1.0),
+    "seed": (int, 0),
+    "guarantee": (_optional_float, None),
+    "variant": (str, "overlap"),
+    "partition": (str, "auto"),
+    "use_cache": (bool, True),
+    "label": (str, ""),
 }
 
 #: Envelope fields a ``solve`` request may carry besides ``op``/``id``.
-_SOLVE_FIELDS = frozenset(
-    {"instance", "family", "algorithm", "eps", "seed", "timeout_s",
-     "guarantee", "variant", "partition", "use_cache", "label",
-     "solution"}
-)
+_SOLVE_FIELDS = frozenset(_SOLVE_OPTIONS) | {"instance", "timeout_s", "solution"}
 
 #: Envelope fields an ``event`` request may carry besides ``op``/``id``.
 _EVENT_FIELDS = frozenset(
     {"session", "instance", "events", "resolve", "timeout_s", "label"}
-)
-
-#: ``resolve`` sub-spec fields (solve options minus instance/timeout).
-_RESOLVE_FIELDS = frozenset(
-    {"family", "algorithm", "eps", "seed", "guarantee", "variant",
-     "partition", "use_cache", "label"}
 )
 
 
@@ -138,6 +144,36 @@ def _parse_instance(payload: Any, family: str) -> Any:
     )
 
 
+def _solve_options(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Typed :class:`SolveRequest` keyword arguments from wire options.
+
+    Every :data:`_SOLVE_OPTIONS` field is converted (absent ones take
+    their default, other keys are ignored); a value that does not convert
+    is a usage error.
+    """
+    try:
+        return {
+            name: convert(fields.get(name, default))
+            for name, (convert, default) in _SOLVE_OPTIONS.items()
+        }
+    except (ValueError, TypeError) as exc:
+        raise ProtocolError(STATUS_USAGE, f"bad envelope field: {exc}")
+
+
+def _timeout(envelope: Dict[str, Any]) -> Optional[float]:
+    """The envelope's ``timeout_s`` (``None`` = no deadline), validated."""
+    raw = envelope.get("timeout_s")
+    if raw is None:
+        return None
+    try:
+        timeout_s = float(raw)
+    except (ValueError, TypeError) as exc:
+        raise ProtocolError(STATUS_USAGE, f"bad envelope field: {exc}")
+    if timeout_s < 0:
+        raise ProtocolError(STATUS_USAGE, "timeout_s must be non-negative")
+    return timeout_s
+
+
 def envelope_to_request(envelope: Dict[str, Any]) -> SolveRequest:
     """Validate a ``solve`` envelope and build the engine request.
 
@@ -152,32 +188,12 @@ def envelope_to_request(envelope: Dict[str, Any]) -> SolveRequest:
         )
     if "instance" not in envelope:
         raise ProtocolError(STATUS_USAGE, "solve envelope missing 'instance'")
-    family = envelope.get("family", "auto")
-    try:
-        timeout_s = envelope.get("timeout_s")
-        request = SolveRequest(
-            instance=_parse_instance(envelope["instance"], family),
-            family=str(family),
-            algorithm=str(envelope.get("algorithm", "auto")),
-            eps=float(envelope.get("eps", 1.0)),
-            seed=int(envelope.get("seed", 0)),
-            timeout_s=None if timeout_s is None else float(timeout_s),
-            guarantee=(
-                None if envelope.get("guarantee") is None
-                else float(envelope["guarantee"])
-            ),
-            variant=str(envelope.get("variant", "overlap")),
-            partition=str(envelope.get("partition", "auto")),
-            use_cache=bool(envelope.get("use_cache", True)),
-            label=str(envelope.get("label", "")),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ProtocolError):
-            raise
-        raise ProtocolError(STATUS_USAGE, f"bad envelope field: {exc}")
-    if request.timeout_s is not None and request.timeout_s < 0:
-        raise ProtocolError(STATUS_USAGE, "timeout_s must be non-negative")
-    return request
+    options = _solve_options(envelope)
+    return SolveRequest(
+        instance=_parse_instance(envelope["instance"], options["family"]),
+        timeout_s=_timeout(envelope),
+        **options,
+    )
 
 
 def envelope_to_event(envelope: Dict[str, Any]):
@@ -218,32 +234,20 @@ def envelope_to_event(envelope: Dict[str, Any]):
     if resolve is not None:
         if not isinstance(resolve, dict):
             raise ProtocolError(STATUS_USAGE, "'resolve' must be an object")
-        bad = set(resolve) - _RESOLVE_FIELDS
+        bad = set(resolve) - set(_SOLVE_OPTIONS)
         if bad:
             raise ProtocolError(
                 STATUS_USAGE, f"unknown resolve field(s): {sorted(bad)}"
             )
-    timeout_s = envelope.get("timeout_s")
-    if timeout_s is not None:
-        timeout_s = float(timeout_s)
-        if timeout_s < 0:
-            raise ProtocolError(STATUS_USAGE, "timeout_s must be non-negative")
+        resolve = _solve_options(resolve)
     return EventRequest(
         session=session,
         events=events,
         open_instance=open_instance,
         resolve=resolve,
-        timeout_s=timeout_s,
+        timeout_s=_timeout(envelope),
         label=str(envelope.get("label", "")),
     )
-
-
-def status_from_error(error: Optional[str]) -> int:
-    """Map a ``SolveReport.error`` string (``"ExcType: msg"``) to a status."""
-    if not error:
-        return STATUS_OK
-    exc_type = error.split(":", 1)[0].strip()
-    return _ERROR_STATUS.get(exc_type, STATUS_INTERNAL)
 
 
 def _serialize_solution(solution: Any) -> Optional[Dict[str, Any]]:

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine import SolveReport, SolveRequest, cache_probe, cache_store
 from repro.engine.cache import result_key
 from repro.engine.core import _cacheable, _resolve, _solve_worker
+from repro.errors import WorkerUnavailable, error_text
 from repro.obs.metrics import Histogram, get_registry
 from repro.parallel.pool import PipeWorker, WorkerCrashed
 from repro.resilience.chaos import ChaosPolicy
@@ -536,9 +537,9 @@ def _unavailable_report(request: EventRequest) -> SolveReport:
         family=request.family,
         algorithm=request.algorithm,
         label=request.label,
-        error=(
-            f"WorkerUnavailable: no worker is up to hold session "
-            f"{request.session!r}; retry once the pool recovers"
-        ),
+        error=error_text(WorkerUnavailable(
+            f"no worker is up to hold session {request.session!r}; "
+            f"retry once the pool recovers"
+        )),
         extra={"session": request.session},
     )

@@ -7,11 +7,12 @@ Three families of guarantees frozen here:
   freshly constructed ones, including under duplicate-angle ties;
 * **solver identity** — engine solves over the seeded generator suite are
   value- and assignment-identical whether the compiled view is built cold
-  per call or served from the shared fingerprint cache;
+  or served from the interned canonical instance;
 * **cache discipline** — `solve_many` batches compile each distinct
-  instance once (observable via ``engine.compile.*`` counters), the
-  compile cache honours its LRU bound and eviction rebuilds cleanly, and
-  compiled views never ride along in pickles.
+  instance once (observable via ``engine.compile.*`` counters), one engine
+  solve compiles and composes constraint masks once for solver and
+  verifier together, the compile cache honours its LRU bound and eviction
+  re-interns cleanly, and compiled views never ride along in pickles.
 """
 
 import copy
@@ -24,7 +25,6 @@ from repro.core.compiled import (
     CompiledAngleInstance,
     CompiledSectorInstance,
     compile_instance,
-    compile_items,
 )
 from repro.engine import SolveRequest, solve, solve_many
 from repro.engine.cache import (
@@ -33,10 +33,9 @@ from repro.engine.cache import (
     RESULT_CACHE,
     RESULT_CACHE_MAXSIZE,
     clear_caches,
-    shared_compiled,
+    intern_instance,
 )
 from repro.geometry.sweep import CircularSweep
-from repro.knapsack.greedy import solve_greedy
 from repro.model import generators as gen
 from repro.obs.metrics import get_registry
 from repro.packing.single import best_rotation
@@ -204,32 +203,6 @@ class TestEngineValueIdentity:
         assert warm.value == cold.value
 
 
-class TestKnapsackCompiledItems:
-    """The greedy density-order fast path is tie-for-tie identical."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_greedy_with_compiled_order_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 40
-        # Duplicate weights/profits force density ties.
-        w = rng.integers(1, 6, size=n).astype(np.float64)
-        p = rng.integers(1, 6, size=n).astype(np.float64)
-        w[rng.random(n) < 0.2] = 0.0  # zero-weight (infinite density) items
-        cap = float(w.sum()) / 3.0
-        plain = solve_greedy(w, p, cap)
-        fast = solve_greedy(w, p, cap, compiled=compile_items(w, p))
-        assert fast.value == plain.value
-        assert fast.weight == plain.weight
-        assert np.array_equal(fast.selected, plain.selected)
-
-    def test_engine_knapsack_accepts_compiled_context(self):
-        w, p = [2.0, 3.0, 1.0], [3.0, 4.0, 2.0]
-        report = solve(SolveRequest(instance=(w, p, 4.0), algorithm="greedy",
-                                    use_cache=False))
-        plain = solve_greedy(np.array(w), np.array(p), 4.0)
-        assert report.value == plain.value
-
-
 class TestSolveManyCompileOnce:
     """A repeated batch compiles its instance exactly once (satellite)."""
 
@@ -261,8 +234,43 @@ class TestSolveManyCompileOnce:
         assert _counter("engine.compile.misses") - misses0 == 2
 
 
+class TestOneCompilePerSolve:
+    """Solver and verifier of one engine solve share one compiled view."""
+
+    def test_constrained_sector_solve_compiles_and_composes_once(
+        self, monkeypatch
+    ):
+        import repro.core.compiled as compiled_mod
+        import repro.model.constraints as constraints_mod
+
+        calls = {"compile": 0, "compose": 0}
+        real_compile = compiled_mod.compile_instance
+        real_compose = constraints_mod.compose_station_masks
+
+        def counting_compile(instance):
+            calls["compile"] += 1
+            return real_compile(instance)
+
+        def counting_compose(*args, **kwargs):
+            calls["compose"] += 1
+            return real_compose(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_mod, "compile_instance", counting_compile)
+        monkeypatch.setattr(
+            constraints_mod, "compose_station_masks", counting_compose
+        )
+        inst = gen.scenario_metro_blockage(n=300, towns=3, seed=4)
+        assert inst.constraints
+        clear_caches()
+        report = solve(SolveRequest(instance=inst, family="sector",
+                                    algorithm="greedy", eps=0.5,
+                                    partition="never", use_cache=False))
+        assert report.value > 0
+        assert calls == {"compile": 1, "compose": 1}
+
+
 class TestCompileCacheEviction:
-    """LRU bounds cover compiled views; eviction rebuilds cleanly."""
+    """LRU bounds cover canonical instances; eviction re-interns cleanly."""
 
     def teardown_method(self):
         COMPILE_CACHE.resize(COMPILE_CACHE_MAXSIZE)
@@ -273,28 +281,19 @@ class TestCompileCacheEviction:
         COMPILE_CACHE.resize(2)
         insts = [gen.uniform_angles(n=12, k=1, seed=s) for s in range(3)]
         evict0 = _counter("engine.compile.evictions")
-        views = [shared_compiled(i) for i in insts]
+        views = [intern_instance(i).compile() for i in insts]
         assert len(COMPILE_CACHE) == 2
         assert _counter("engine.compile.evictions") - evict0 == 1
-        # Seed 0 was evicted (LRU-first): re-request rebuilds a fresh,
-        # equivalent view instead of resurrecting the evicted object.
-        rebuilt = shared_compiled(insts[0])
+        # Seed 0 was evicted (LRU-first): an equal-content twin becomes the
+        # new canonical object and compiles a fresh, equivalent view
+        # instead of resurrecting the evicted one.
+        twin = pickle.loads(pickle.dumps(insts[0]))
+        assert intern_instance(twin) is twin
+        rebuilt = twin.compile()
         assert rebuilt is not views[0]
         assert np.array_equal(rebuilt.order, views[0].order)
         # The evicted view still works for anyone holding it (no orphaning).
         assert _sweeps_equal(views[0].sweep(0.8), rebuilt.sweep(0.8))
-
-    def test_clear_caches_does_not_leak_object_memo(self):
-        # The per-object memo (instance.compile()) must never satisfy a
-        # shared-cache miss: after clear_caches a shared compile is rebuilt
-        # from scratch, which is what keeps cold benchmarks honest.
-        inst = gen.uniform_angles(n=12, k=1, seed=0)
-        memo = inst.compile()
-        assert inst.compile() is memo  # per-object memo is stable
-        clear_caches()
-        fresh = shared_compiled(inst)
-        assert fresh is not memo
-        assert shared_compiled(inst) is fresh  # and then cached
 
     def test_result_and_compile_caches_bounded_together(self):
         clear_caches()
@@ -342,7 +341,11 @@ class TestCompiledViewLifecycle:
         inst = gen.uniform_angles(n=10, k=1, seed=0)
         twin = pickle.loads(pickle.dumps(inst))
         clear_caches()
-        assert shared_compiled(inst) is shared_compiled(twin)
+        assert intern_instance(inst) is inst
+        assert intern_instance(twin) is inst
+        assert intern_instance(twin).compile() is inst.compile()
+        # Interning never installs a view on the twin itself.
+        assert "_compiled" not in twin.__dict__
 
     def test_compile_instance_rejects_unknown_payloads(self):
         with pytest.raises(TypeError, match="cannot compile"):

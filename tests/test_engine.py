@@ -272,10 +272,10 @@ class TestCompileSharing:
         assert snap["engine.compile.hits"]["value"] > 0
 
     def test_shared_compiled_candidates_are_read_only(self):
-        from repro.engine.cache import shared_compiled
+        from repro.engine.cache import intern_instance
 
         inst = small_angle()
-        cand = shared_compiled(inst).candidates()
+        cand = intern_instance(inst).compile().candidates()
         with pytest.raises((ValueError, RuntimeError)):
             cand[0] = 0.0
 

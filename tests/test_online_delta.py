@@ -14,13 +14,14 @@ the file.
 """
 
 import math
+import pickle
 import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.cache import RESULT_CACHE, fingerprint
+from repro.engine.cache import RESULT_CACHE, fingerprint, intern_instance
 from repro.geometry.angles import TWO_PI
 from repro.model.antenna import AntennaSpec
 from repro.model.generators import uniform_angles
@@ -392,7 +393,10 @@ class TestInvalidation:
         delta = DeltaCompiledInstance(_angle_instance([1.0, 2.0], [1.0, 1.0]))
         delta.apply(AddCustomer(demand=1.0, theta=0.3))
         fp = delta.publish()
-        assert COMPILE_CACHE.get(("compiled", fp)) is delta.compiled
+        assert COMPILE_CACHE.get(fp) is delta.instance
+        # An equal-content instance solves on the patched object's view.
+        twin = pickle.loads(pickle.dumps(delta.instance))
+        assert intern_instance(twin).compile() is delta.compiled
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.model import generators as gen
 from repro.model.solution import AngleSolution
 from repro.obs.metrics import get_registry
 from repro.packing.bounds import combined_upper_bound
-from repro.packing.exact import solve_exact_angle, solve_exact_anytime
+from repro.packing.exact import exact_assignment, solve_exact_angle, solve_exact_anytime
 from repro.packing.multi import solve_greedy_multi
 from repro.knapsack import get_solver
 from repro.resilience import (
@@ -185,6 +185,21 @@ class TestAnytimeExact:
         assert exc.value.incumbent is None or isinstance(
             exc.value.incumbent, AngleSolution
         )
+
+    @pytest.mark.parametrize("limit", [1, 100, 257])
+    def test_node_limit_expires_on_the_next_node(self, limit):
+        # The assignment B&B ticks its budget on every node, so a node
+        # limit fires exactly one node past it, not at a stride boundary.
+        rng = np.random.default_rng(0)
+        n = 16
+        budget = Budget(max_nodes=limit)
+        with pytest.raises(BudgetExpired) as exc:
+            exact_assignment(
+                np.ones((n, 3), dtype=bool), rng.uniform(1.0, 5.0, n),
+                rng.uniform(1.0, 5.0, n), np.full(3, 10.0), budget=budget,
+            )
+        assert exc.value.reason == "node_limit"
+        assert budget.nodes == limit + 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_property_bracket_and_greedy_floor(self, seed):

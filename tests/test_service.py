@@ -20,6 +20,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.engine import SolveReport, SolveRequest, clear_caches
@@ -98,6 +99,72 @@ class TestProtocol:
                 == STATUS_INVALID_INPUT)
         assert protocol.status_from_error("ValueError: z") == STATUS_USAGE
         assert protocol.status_from_error("SomethingWeird: q") == 1
+
+    def test_string_eps_resolve_answers_the_same_cold_and_warm(self):
+        # A resolve object parses like a solve envelope, so a string eps
+        # converts before the engine sees it: the answer must not depend
+        # on whether the result cache happens to hold it.
+        from repro.engine import solve
+        from repro.model.serialization import instance_to_dict
+        from repro.service.events import SESSIONS, execute_event
+
+        inst = _instances(1, n=10)[0]
+        envelope = {
+            "op": "event", "session": "string-eps",
+            "instance": instance_to_dict(inst),
+            "resolve": {"algorithm": "greedy", "eps": "0.5"},
+        }
+        clear_caches()
+        try:
+            cold = protocol.report_to_response(
+                1, execute_event(protocol.envelope_to_event(envelope)))
+            solve(SolveRequest(instance=inst, algorithm="greedy", eps=0.5))
+            warm = protocol.report_to_response(
+                2, execute_event(protocol.envelope_to_event(envelope)))
+        finally:
+            SESSIONS.clear()
+        assert cold["status"] == warm["status"] == STATUS_OK
+        assert not cold["extra"]["resolve"]["cached"]
+        assert warm["extra"]["resolve"]["cached"]
+        assert cold["value"] == warm["value"]
+
+    def test_invalid_solve_instance_is_invalid_input(self):
+        # Instance validation errors keep their type through the solve
+        # envelope parser, so the server answers status 3 as for events.
+        from repro.model.instance import InvalidInstanceError
+        from repro.model.serialization import instance_to_dict
+
+        payload = instance_to_dict(_instances(1, n=3)[0])
+        payload["demands"] = [-1.0, 1.0, 1.0]
+        with pytest.raises(InvalidInstanceError):
+            protocol.envelope_to_request({"op": "solve", "instance": payload})
+
+    def test_bad_resolve_value_is_usage(self):
+        with pytest.raises(ProtocolError) as err:
+            protocol.envelope_to_event(
+                {"op": "event", "session": "s", "resolve": {"eps": "lots"}})
+        assert err.value.status == STATUS_USAGE
+
+    def test_infeasible_cover_is_usage_on_wire_and_cli(self, tmp_path):
+        # InfeasibleCoverError subclasses ValueError: the one exception
+        # table classifies it as usage (2) on both paths.
+        from repro.cli import main
+        from repro.engine.core import _solve_worker
+        from repro.model.antenna import AntennaSpec
+        from repro.model.instance import AngleInstance
+        from repro.model.serialization import save_instance
+
+        inst = AngleInstance(
+            thetas=np.array([0.1, 0.2]), demands=np.array([5.0, 1.0]),
+            antennas=(AntennaSpec(rho=1.0, capacity=2.0),),
+        )
+        report = _solve_worker(SolveRequest(
+            instance=inst, family="covering", use_cache=False))
+        assert "InfeasibleCoverError" in report.error
+        assert protocol.status_from_error(report.error) == STATUS_USAGE
+        path = tmp_path / "infeasible.json"
+        save_instance(inst, path)
+        assert main(["cover", str(path)]) == STATUS_USAGE
 
     def test_knapsack_triple_instance(self):
         request = protocol.envelope_to_request({
