@@ -69,6 +69,17 @@ python -m repro solve "$inst" --algorithm greedy --timeout 0 2>/dev/null || code
 if [ "$code" -ne 4 ]; then
     echo "expected exit 4 from an expired deadline, got $code" >&2; exit 1
 fi
+# The same holds for a partitioned solve: its parts run under the parent's
+# deadline, so the expiry is exit 4 too.
+metro="$tmp/metro.json"
+python -m repro generate metro "$metro" --params '{"n": 4000, "towns": 8}'
+code=0
+python -m repro solve "$metro" --algorithm greedy --partition force --timeout 0 \
+    2>/dev/null || code=$?
+if [ "$code" -ne 4 ]; then
+    echo "expected exit 4 from an expired partitioned deadline, got $code" >&2
+    exit 1
+fi
 # The anytime exact solver, bounded by --timeout: returns its incumbent.
 python -m repro solve "$inst" --algorithm exact-anytime --timeout 1.0
 

@@ -1,13 +1,11 @@
 """One-shot evaluation report: regenerate the EXPERIMENTS.md headline rows.
 
 ``repro-sectors report`` (or :func:`run_report`) runs a compact version of
-every experiment E1–E12 and prints the same tables EXPERIMENTS.md records,
-so a user can re-verify the claimed shapes on their machine in about a
-minute.  The heavy per-experiment sweeps live in ``benchmarks/``; this
-runner trades statistical depth for wall-clock friendliness.
-
-Independent instance solves are fanned out through
-:mod:`repro.parallel` when ``workers > 1``.
+every experiment E1–E12 (except the retired E8) and prints the same
+tables EXPERIMENTS.md records, so a user can re-verify the claimed
+shapes on their machine in about a minute.  The heavy per-experiment
+sweeps live in ``benchmarks/``; this runner trades statistical depth for
+wall-clock friendliness.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ oracle construction from eps, cooperative ``Budget`` activation from
 interning of equal-content instances (:mod:`repro.engine.cache`: a
 monolithic solve and its verification share one compiled view) and
 telemetry (``engine.*`` metrics, see
-``docs/OBSERVABILITY.md``).  :func:`solve_many` fans requests over
-:func:`repro.parallel.pool.parallel_map` with per-request budgets and
+``docs/OBSERVABILITY.md``).  :func:`solve_many` runs a batch of
+requests in the calling process with per-request budgets and
 partial-result semantics.
 
 Execution is dispatched through one *strategy seam* (``_STRATEGIES``):
@@ -66,7 +66,7 @@ _PARTITION_FALLBACK = _REG.counter("engine.partition.fallback")
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One solve, fully specified by value (picklable for solve_many).
+    """One solve, fully specified by value (picklable for service workers).
 
     ``family="auto"`` infers angle/sector/knapsack from the payload type;
     covering and online runs on angle instances must name their family
@@ -299,7 +299,7 @@ def cache_store(request: SolveRequest, report: SolveReport) -> bool:
 #
 # * ``monolithic``  — build the solve context and run the spec directly;
 # * ``partitioned`` — reach-component decomposition, per-part solves
-#   fanned over the process pool, certified merge
+#   in the calling process, certified merge
 #   (:mod:`repro.engine.partition`, ``docs/SCALE.md``);
 # * worker-sharded — the third strategy lives one layer up: the service
 #   tier (``repro.service``) routes whole requests to supervised worker
@@ -420,7 +420,7 @@ def solve(request: SolveRequest) -> SolveReport:
 
 
 def _solve_worker(request: SolveRequest) -> SolveReport:
-    """Module-level (hence picklable) worker for :func:`solve_many`."""
+    """:func:`solve`, with a failure converted to a partial report."""
     try:
         return solve(request)
     except Exception as exc:  # noqa: BLE001 - converted to a partial report
@@ -437,30 +437,14 @@ def _solve_worker(request: SolveRequest) -> SolveReport:
 
 
 def solve_many(
-    requests: Sequence[SolveRequest],
-    workers: Optional[int] = None,
-    allow_partial: bool = True,
+    requests: Sequence[SolveRequest], allow_partial: bool = True
 ) -> List[SolveReport]:
-    """Batched solve, fanned over the process pool, order-preserving.
+    """Batched solve in the calling process, order-preserving.
 
-    Each request carries its own ``timeout_s`` (budgets are rebuilt inside
-    each worker — they do not cross process boundaries).  With
-    ``allow_partial=True`` (default) failures come back as reports with
-    ``error`` set; with ``allow_partial=False`` the first failure raises.
-
-    Worker processes have their own caches, so cross-request cache reuse
-    is only guaranteed for the serial fallback path (< 4 requests or
-    ``workers=1``); results returned to the parent are complete either
-    way.
+    Each request runs under its own ``timeout_s`` and under any ambient
+    budget of the caller.  With ``allow_partial=True`` (default) failures
+    come back as reports with ``error`` set; with ``allow_partial=False``
+    the first failure propagates as the request's own exception.
     """
-    from repro.parallel.pool import parallel_map
-
-    reports = parallel_map(_solve_worker, list(requests), workers=workers)
-    if not allow_partial:
-        for report in reports:
-            if report.error is not None:
-                raise RuntimeError(
-                    f"solve_many: {report.family}/{report.algorithm} "
-                    f"{report.label or ''} failed: {report.error}"
-                )
-    return reports
+    run = _solve_worker if allow_partial else solve
+    return [run(request) for request in requests]

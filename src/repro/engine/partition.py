@@ -4,8 +4,8 @@ The paper's 2-D→1-D reduction makes every unit of work *local to a
 station*: a customer only ever interacts with stations whose reach disk
 contains it.  This module exploits that locality to cut one huge
 :class:`~repro.model.instance.SectorInstance` into independent
-sub-instances that are solved separately (optionally in parallel over
-:mod:`repro.parallel.pool`) and merged back losslessly:
+sub-instances that are solved separately (in the calling process) and
+merged back losslessly:
 
 **Partition rule.**  Two stations *overlap* when their reach disks can
 share a customer, i.e. ``dist(s, t) <= R_s + R_t`` (``R`` the station's
@@ -284,17 +284,18 @@ def merge_partial_solutions(
 def solve_partitioned(
     request: Any, algorithm: str
 ) -> Tuple[SectorSolution, Dict[str, Any]]:
-    """Partition, fan out, merge: the engine's partitioned strategy.
+    """Partition, solve the parts, merge: the engine's partitioned strategy.
 
     Every part becomes a child :class:`~repro.engine.core.SolveRequest`
     pinned to the *resolved* ``algorithm`` with ``partition="never"``
     (no recursion) and ``use_cache=False`` (sub-solutions are fragments
-    of this solve, not canonical answers for their sub-instances), fanned
-    out through :func:`repro.engine.core.solve_many` — i.e. over
-    :func:`repro.parallel.pool.parallel_map`, honoring ``REPRO_WORKERS``.
-    A cooperative deadline on the parent request applies through the
-    ambient budget on the in-process path; it does not cross process
-    boundaries to pool workers.
+    of this solve, not canonical answers for their sub-instances), and
+    solved in the calling process through
+    :func:`repro.engine.core.solve_many`.  Every part runs under the
+    parent request's ambient budget, so an expired deadline raises
+    :class:`~repro.resilience.budget.BudgetExpired` from the part that
+    sees it; any other part failure also propagates as its own
+    exception.
 
     Returns ``(solution, extra)`` where ``extra`` carries the certificate:
     ``partitions``, ``unreachable``, ``partition_upper_bound`` and
@@ -303,7 +304,7 @@ def solve_partitioned(
     """
     from dataclasses import replace
 
-    from repro.engine.core import solve_many
+    from repro.engine import core
 
     plan = partition_instance(request.instance)
     child_requests = [
@@ -319,7 +320,7 @@ def solve_partitioned(
         )
         for part in plan.parts
     ]
-    reports = solve_many(child_requests, allow_partial=False)
+    reports = core.solve_many(child_requests, allow_partial=False)
     merged = merge_partial_solutions(plan, [r.solution for r in reports])
     value = merged.value(plan.instance)
     upper = plan.upper_bound

@@ -30,7 +30,7 @@ _DISPATCH_BB = _REG.counter("oracle.dispatch.branch_bound")
 
 
 def _is_integral(arr: np.ndarray) -> bool:
-    return bool(np.allclose(arr, np.round(arr), atol=1e-9))
+    return bool(np.allclose(arr, np.round(arr), rtol=0.0, atol=1e-9))
 
 
 def solve_exact_integer(weights, profits, capacity: float) -> KnapsackResult:

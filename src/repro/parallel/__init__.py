@@ -1,15 +1,13 @@
-"""Process-level parallelism for sweeps and experiment fan-out."""
+"""Long-lived worker processes for the solver service."""
 
 from repro.parallel.pool import (
     PipeWorker,
     WorkerCrashed,
-    parallel_map,
     worker_count,
 )
 
 __all__ = [
     "PipeWorker",
     "WorkerCrashed",
-    "parallel_map",
     "worker_count",
 ]

@@ -1,32 +1,19 @@
-"""Chunked process-pool map with graceful serial fallback and crash recovery.
+"""Long-lived worker processes for the solver service.
 
-:func:`parallel_map` is an order-preserving map over items, chunked to
-amortize pickling overhead (the process-pool analogue of MPI's
-``comm.scatter`` / ``comm.gather``, built on :mod:`concurrent.futures`).
-It degrades to serial execution when ``workers <= 1``, when the item
-count is tiny, or when the callable is not picklable (lambdas/closures) —
-so callers never need a code path split.  Worker count resolution order
-(:func:`worker_count`): explicit argument, ``REPRO_WORKERS`` environment
-variable, CPU count.
+:class:`PipeWorker` is a supervised subprocess speaking framed-pickle
+request/response over a duplex pipe, built for callers that need worker
+*affinity* (warm per-process caches).  Every failure mode a worker can
+exhibit (dead pid, pipe EOF, reply timeout, corrupted frame) surfaces as
+one typed :class:`WorkerCrashed` exception so the supervising layer
+(:mod:`repro.service.supervisor`) has a single recovery path.  Stale
+replies from a timed-out earlier call are discarded by sequence number,
+so one slow reply can never desynchronize the protocol.
+:func:`worker_count` sizes the service's pool: explicit argument,
+``REPRO_WORKERS`` environment variable, CPU count.
 
-**Crash recovery** (resilience contract, ``docs/RESILIENCE.md``): each
-chunk is submitted as its own future, so one dying worker (segfault,
-``os._exit``, OOM-kill — surfaced as ``BrokenProcessPool``) or one hung /
-poisoned chunk (``chunk_timeout_s``) only loses *its* chunks.  Failed
-chunks are re-run **serially in the parent**, which recovers both crashes
-and transient worker-only faults (the chaos harness injects faults only in
-worker pids for exactly this reason).  A chunk whose serial re-run *also*
-fails raises.  Events are counted in the ``parallel.*`` metrics.
-
-**Long-lived workers**: :class:`PipeWorker` is the second primitive — a
-supervised subprocess speaking framed-pickle request/response over a
-duplex pipe, built for callers that need worker *affinity* (warm
-per-process caches) rather than stateless chunk fan-out.  Every failure
-mode a worker can exhibit (dead pid, pipe EOF, reply timeout, corrupted
-frame) surfaces as one typed :class:`WorkerCrashed` exception so the
-supervising layer (:mod:`repro.service.supervisor`) has a single recovery
-path.  Stale replies from a timed-out earlier call are discarded by
-sequence number, so one slow reply can never desynchronize the protocol.
+Nothing else fans out over processes: the engine's partitioned strategy
+solves its parts in the calling process (:func:`repro.engine.solve_many`),
+and parallelism across requests comes from the service's workers.
 """
 
 from __future__ import annotations
@@ -35,24 +22,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.obs.metrics import get_registry
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Below this many items the pool overhead dominates; run serial.
-_MIN_PARALLEL_ITEMS = 4
-
-# Pool-resilience telemetry (contract: docs/RESILIENCE.md).
-_REG = get_registry()
-_WORKER_FAILURES = _REG.counter("parallel.worker_failures")
-_SERIAL_RETRIES = _REG.counter("parallel.serial_retries")
-_CHUNK_TIMEOUTS = _REG.counter("parallel.chunk_timeouts")
-_FAILED_CHUNKS = _REG.counter("parallel.failed_chunks")
+from typing import Any, Callable, Optional, Tuple
 
 
 def worker_count(workers: Optional[int] = None) -> int:
@@ -68,104 +38,6 @@ def worker_count(workers: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _is_picklable(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
-def _apply_chunk(payload):
-    fn, chunk = payload
-    return [fn(item) for item in chunk]
-
-
-def _run_chunked(
-    fn: Callable,
-    chunk_args: List,
-    workers: int,
-    chunk_timeout_s: Optional[float],
-) -> List:
-    """Run ``fn`` over ``chunk_args`` with crash/timeout recovery.
-
-    Returns per-chunk results in order.  Failed chunks are re-run serially
-    in the parent; a chunk that fails even serially raises.
-    """
-    m = len(chunk_args)
-    results: List = [None] * m
-    done = [False] * m
-    failed: List[int] = []
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(fn, chunk_args[i]) for i in range(m)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result(timeout=chunk_timeout_s)
-                    done[i] = True
-                except TimeoutError:
-                    _CHUNK_TIMEOUTS.inc()
-                    fut.cancel()
-                    failed.append(i)
-                except BrokenProcessPool:
-                    # The pool is dead: everything not yet collected is lost.
-                    _WORKER_FAILURES.inc()
-                    failed.extend(j for j in range(i, m) if not done[j])
-                    break
-                except Exception:
-                    _WORKER_FAILURES.inc()
-                    failed.append(i)
-    except BrokenProcessPool:
-        # Shutdown can also surface the breakage; anything unfinished is lost.
-        _WORKER_FAILURES.inc()
-        failed.extend(j for j in range(m) if not done[j] and j not in failed)
-
-    # Serial recovery in the parent process.
-    for i in sorted(set(failed)):
-        _SERIAL_RETRIES.inc()
-        try:
-            results[i] = fn(chunk_args[i])
-        except Exception:
-            _FAILED_CHUNKS.inc()
-            raise
-    return results
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    chunk_timeout_s: Optional[float] = None,
-) -> List[R]:
-    """Order-preserving map, fanned out over processes in chunks.
-
-    Falls back to a serial list comprehension when parallelism cannot help
-    (single worker, few items) or cannot work (unpicklable ``fn``).
-    Worker crashes and per-chunk timeouts (``chunk_timeout_s``) are
-    recovered by re-running the lost chunks serially in the parent; the
-    result is complete or an exception — never silently truncated.
-    """
-    items = list(items)
-    w = worker_count(workers)
-    if w <= 1 or len(items) < _MIN_PARALLEL_ITEMS or not _is_picklable(fn):
-        return [fn(item) for item in items]
-    if chunk_size is None:
-        # ~4 chunks per worker balances load without pickling per item.
-        chunk_size = max(1, len(items) // (4 * w))
-    chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-    parts = _run_chunked(
-        _apply_chunk,
-        [(fn, c) for c in chunks],
-        workers=w,
-        chunk_timeout_s=chunk_timeout_s,
-    )
-    results: List[R] = []
-    for part in parts:
-        results.extend(part)
-    return results
-
-
 class WorkerCrashed(RuntimeError):
     """A :class:`PipeWorker` died, timed out, or sent an unusable frame.
 
@@ -179,14 +51,14 @@ class WorkerCrashed(RuntimeError):
 class PipeWorker:
     """A long-lived subprocess driven over a duplex pipe with framed pickle.
 
-    Unlike the stateless pool in :func:`parallel_map`, a ``PipeWorker``
-    keeps one process alive across many requests so per-process state
-    (compiled-instance caches, result LRUs) stays warm.  The parent sends
-    ``(seq, op, payload)`` frames via ``send_bytes(pickle.dumps(...))`` and
-    waits — bounded by ``timeout_s`` — for the matching ``(seq, status,
-    result)`` reply; replies carrying a stale ``seq`` (from a call that
-    already timed out) are silently discarded, keeping the channel usable
-    after partial failures.
+    A ``PipeWorker`` keeps one process alive across many requests so
+    per-process state (compiled-instance caches, result LRUs) stays
+    warm.  The parent sends ``(seq, op, payload)`` frames via
+    ``send_bytes(pickle.dumps(...))`` and waits — bounded by
+    ``timeout_s`` — for the matching ``(seq, status, result)`` reply;
+    replies carrying a stale ``seq`` (from a call that already timed out)
+    are silently discarded, keeping the channel usable after partial
+    failures.
 
     ``target(conn, *args)`` runs in the child and owns the protocol loop;
     see :func:`repro.service.workers.worker_main` for the canonical loop.

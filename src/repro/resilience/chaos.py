@@ -1,4 +1,4 @@
-"""Deterministic fault injection: delays, exceptions, and worker kills.
+"""Deterministic fault injection: delays, exceptions, and worker faults.
 
 Degradation paths are only trustworthy if they are *exercised*; this
 module makes every failure mode reproducible from a seed so tier-1 tests
@@ -13,11 +13,6 @@ Two injection surfaces:
   policy.  Decisions depend only on ``(seed, site, call ordinal)`` — the
   RNG is re-derived per decision from a string seed (SHA-512 underneath),
   so they are stable across processes and interpreter restarts.
-* **worker processes** — :meth:`ChaosPolicy.wrap` wraps a picklable
-  callable so that *in a worker process* (pid differs from the wrapping
-  pid) it deterministically raises or hard-kills the worker
-  (``os._exit``) per item.  The parent process runs the same wrapper
-  clean, which is exactly what the pool's serial-retry path needs.
 * **service reply sites** — :meth:`ChaosPolicy.decide_reply` picks one
   fault (or none) for a service worker about to send a reply frame:
   ``kill`` (SIGKILL mid-request), ``blackhole`` (never reply, forcing the
@@ -30,13 +25,11 @@ Two injection surfaces:
 
 Injected events are counted in the ``chaos.injected.*`` metrics
 (delays/errors counted in-process; kills die with their worker and are
-observed parent-side as ``parallel.worker_failures`` or
-``service.supervisor.restarts``).
+observed parent-side as ``service.supervisor.restarts``).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -96,10 +89,6 @@ class ChaosPolicy:
         # str seeds hash through SHA-512 — stable across processes, unlike
         # builtin hash() which is salted per interpreter.
         return random.Random(f"{self.seed}:{site}:{ordinal}")
-
-    def wrap(self, fn) -> "_ChaosWrapped":
-        """Picklable wrapper injecting worker-side faults around ``fn``."""
-        return _ChaosWrapped(fn, self, os.getpid())
 
     def decide_reply(self, site: str, ordinal: int) -> Optional[str]:
         """Pick at most one fault for a service worker reply, or ``None``.
@@ -174,33 +163,6 @@ class ChaosMonkey:
         if self.policy.error_rate and rng.random() < self.policy.error_rate:
             _INJ_ERRORS.inc()
             raise ChaosError(f"injected failure at {site!r} (call {ordinal})")
-
-
-class _ChaosWrapped:
-    """Picklable callable that misbehaves only inside worker processes."""
-
-    def __init__(self, fn, policy: ChaosPolicy, parent_pid: int):
-        self.fn = fn
-        self.policy = policy
-        self.parent_pid = parent_pid
-
-    def __call__(self, item):
-        if os.getpid() != self.parent_pid:
-            rng = self.policy._roll("worker", _stable_ordinal(item))
-            if self.policy.kill_rate and rng.random() < self.policy.kill_rate:
-                os._exit(17)  # hard kill: the pool sees BrokenProcessPool
-            if self.policy.error_rate and rng.random() < self.policy.error_rate:
-                raise ChaosError(f"injected worker failure on {item!r}")
-            if self.policy.delay_rate and rng.random() < self.policy.delay_rate:
-                time.sleep(self.policy.delay_s)
-        return self.fn(item)
-
-
-def _stable_ordinal(item) -> int:
-    """A process-stable int identity for a work item (repr-based)."""
-    import zlib
-
-    return zlib.crc32(repr(item).encode("utf-8", "replace"))
 
 
 _TLS = threading.local()

@@ -216,7 +216,7 @@ class TestSolveManyCompileOnce:
         clear_caches()
         hits0 = _counter("engine.compile.hits")
         misses0 = _counter("engine.compile.misses")
-        reports = solve_many(requests, workers=1)
+        reports = solve_many(requests)
         assert [r.error for r in reports] == [None, None, None]
         assert _counter("engine.compile.misses") - misses0 == 1
         assert _counter("engine.compile.hits") - hits0 == 2
@@ -230,7 +230,7 @@ class TestSolveManyCompileOnce:
         ]
         clear_caches()
         misses0 = _counter("engine.compile.misses")
-        solve_many(requests, workers=1)
+        solve_many(requests)
         assert _counter("engine.compile.misses") - misses0 == 2
 
 

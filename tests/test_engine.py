@@ -407,7 +407,7 @@ class TestSolveMany:
         reqs = [
             SolveRequest(instance=small_angle(k=2), algorithm="single"),
         ]
-        with pytest.raises(RuntimeError, match="single"):
+        with pytest.raises(ValueError, match="single"):
             solve_many(reqs, allow_partial=False)
 
     def test_mixed_families_in_one_batch(self):

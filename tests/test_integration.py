@@ -27,7 +27,6 @@ from repro.model.serialization import (
 from repro.online import OnlineAdmission, replay_offline_reference
 from repro.packing.covering import cover_instance, verify_cover
 from repro.packing.sectors import improve_sector_solution, solve_sector_splittable
-from repro.parallel import parallel_map
 
 EXACT = get_solver("exact")
 GREEDY = get_solver("greedy")
@@ -135,15 +134,6 @@ class TestHarnessIntegration:
             for inst in insts:
                 s = instance_stats(inst)
                 assert s.n == 8
-
-    def test_parallel_fanout_of_solves(self):
-        values = parallel_map(_solve_one_seed, list(range(8)), workers=2)
-        assert values == [_solve_one_seed(s) for s in range(8)]
-
-
-def _solve_one_seed(seed: int) -> float:
-    inst = gen.uniform_angles(n=30, k=2, seed=seed)
-    return solve_greedy_multi(inst, GREEDY).value(inst)
 
 
 class TestVizIntegration:

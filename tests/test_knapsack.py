@@ -184,6 +184,16 @@ class TestExactAuto:
         r = solve_exact_auto(ws, ps, cap)
         assert r.value == pytest.approx(brute_force(ws, ps, cap), abs=1e-6)
 
+    def test_near_integral_profits_are_not_rounded(self):
+        r = solve_exact_auto([1.5, 1.5], [0.99999, 1.0], 1.5)
+        assert r.value == 1.0
+
+    def test_near_integral_weights_are_not_rounded(self):
+        ws, ps = [1.00001, 1.0], [2.0, 1.0]
+        r = solve_exact_auto(ws, ps, 1.0)
+        r.verify(ws, ps, 1.0)
+        assert list(r.selected) == [1]
+
 
 class TestGreedy:
     def test_half_guarantee_worst_case(self):

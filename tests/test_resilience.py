@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.engine import SolveRequest, solve
 from repro.model import generators as gen
 from repro.model.solution import AngleSolution
 from repro.obs.metrics import get_registry
@@ -147,6 +148,17 @@ class TestAmbientBudget:
             with pytest.raises(BudgetExpired) as exc:
                 solve_greedy_multi(inst, GREEDY)
         assert exc.value.reason == "oracle_limit"
+
+    def test_partitioned_zero_deadline_is_budget_expired(self):
+        # Parts solve under the parent request's ambient budget, so the
+        # expiry surfaces as the part's own BudgetExpired (exit code 4),
+        # not as a wrapped failure.
+        request = SolveRequest(
+            instance=gen.power_law_metro(n=4000, towns=8, seed=0),
+            algorithm="greedy", partition="force", timeout_s=0,
+        )
+        with pytest.raises(BudgetExpired):
+            solve(request)
 
 
 # ----------------------------------------------------------------------
@@ -298,12 +310,6 @@ class TestChaos:
             with pytest.raises(ChaosError):
                 chaos_point("m")
         assert reg.snapshot()["chaos.injected.errors"]["value"] == 1
-
-    def test_wrapped_callable_clean_in_parent(self):
-        # In the wrapping (parent) process the wrapper must never misbehave
-        # — that is what makes the pool's serial retry safe.
-        wrapped = ChaosPolicy(seed=0, error_rate=1.0, kill_rate=1.0).wrap(abs)
-        assert [wrapped(x) for x in (-1, -2, 3)] == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import pytest
 
 from repro.engine import SolveRequest, clear_caches, solve
 from repro.model import generators
+from repro.model.serialization import instance_to_dict
 from repro.obs.metrics import get_registry
 from repro.parallel import PipeWorker, WorkerCrashed
 from repro.resilience.chaos import ChaosPolicy
@@ -392,6 +393,29 @@ class TestSupervisedService:
                 assert restarted["status"] == STATUS_OK
         finally:
             handle.stop()
+
+    def test_partitioned_request_is_served(self):
+        """A worker solves a forced partitioned request in its own process.
+
+        Service workers are daemonic, so they cannot start child
+        processes; the parts must solve in the worker itself.
+        """
+        inst = generators.scenario_metro_blockage(n=2000, towns=6, seed=0)
+        expected = solve(SolveRequest(instance=inst, algorithm="greedy",
+                                      partition="force", use_cache=False))
+        assert expected.extra["partitions"] >= 4
+        handle = start_in_thread(port=0, workers=2)
+        try:
+            with ServiceClient(port=handle.port, timeout_s=120.0) as client:
+                response = client.request({
+                    "op": "solve", "instance": instance_to_dict(inst),
+                    "algorithm": "greedy", "partition": "force",
+                    "use_cache": False,
+                })
+        finally:
+            handle.stop()
+        assert response["status"] == STATUS_OK, response.get("error")
+        assert response["value"] == expected.value
 
     def test_stats_reports_worker_tier(self):
         handle = start_in_thread(port=0, workers=1)
