@@ -80,6 +80,12 @@ if [ "$code" -ne 4 ]; then
     echo "expected exit 4 from an expired partitioned deadline, got $code" >&2
     exit 1
 fi
+# A constrained partitioned solve: the merged solution must verify against
+# the parent's composed constraint masks (exit 0).
+scenario="$tmp/scenario.json"
+python -m repro generate scenario "$scenario" \
+    --params '{"n": 4000, "towns": 8, "capacity_fraction": 0.5}'
+python -m repro solve "$scenario" --algorithm greedy --partition force >/dev/null
 # The anytime exact solver, bounded by --timeout: returns its incumbent.
 python -m repro solve "$inst" --algorithm exact-anytime --timeout 1.0
 

@@ -11,6 +11,8 @@ vectorized form measured faster (``docs/BACKENDS.md`` holds the table):
 * :func:`batched_station_polar` — every station's polar conversion of
   :class:`repro.core.compiled.CompiledSectorInstance`, batched into one
   ``(m, n)`` pass;
+* :func:`station_distances` — the distance half of that conversion
+  alone, the only input constraint composition and the partitioner read;
 * :func:`los_blocked` / :func:`topk_station_mask` — the constraint-mask
   composition kernels of :mod:`repro.model.constraints`
   (``docs/SCENARIOS.md``): per-station line-of-sight occlusion against a
@@ -19,7 +21,8 @@ vectorized form measured faster (``docs/BACKENDS.md`` holds the table):
 
 **Contract**: the solve path always runs these kernels, and each is
 checked against a scalar reference loop — bit-identical for
-``batched_station_polar``, ``los_blocked`` and ``topk_station_mask``
+``batched_station_polar``, ``station_distances``, ``los_blocked`` and
+``topk_station_mask``
 (elementwise ufuncs batched over a different shape; the scalar
 references are the per-pair primitives of :mod:`repro.model.constraints`
 and :func:`repro.geometry.points.relative_polar`), accept-set identical
@@ -39,6 +42,7 @@ from repro.numerics import FIT_SLACK, fits
 __all__ = [
     "greedy_prefix_mask",
     "batched_station_polar",
+    "station_distances",
     "los_blocked",
     "topk_station_mask",
 ]
@@ -111,14 +115,30 @@ def batched_station_polar(instance) -> Tuple[np.ndarray, np.ndarray]:
     from repro.geometry.points import cartesians_to_polar
 
     positions = np.asarray(instance.positions, dtype=np.float64)
-    centers = np.asarray(
-        [st.position for st in instance.stations], dtype=np.float64
-    )
+    centers = np.asarray([s.position for s in instance.stations], np.float64)
     m = centers.shape[0]
     n = positions.shape[0]
     diff = positions[None, :, :] - centers[:, None, :]
     thetas, rs = cartesians_to_polar(diff.reshape(m * n, 2))
     return thetas.reshape(m, n), rs.reshape(m, n)
+
+
+def station_distances(instance) -> np.ndarray:
+    """Distance of every customer to every station, without the angles.
+
+    Returns an ``(m, n)`` array; row ``s`` is ``np.hypot(xs - px, ys -
+    py)`` for station ``s`` at ``(px, py)`` — the same subtract and
+    hypot as ``relative_polar(positions, stations[s].position)[1]``, so
+    it is bit-identical to that and to ``CompiledStation.rs``.  Rows are
+    written one station at a time into the preallocated result, so the
+    temporaries stay two length-``n`` arrays.
+    """
+    xy = np.asarray(instance.positions, dtype=np.float64)
+    centers = np.asarray([s.position for s in instance.stations], np.float64)
+    out = np.empty((centers.shape[0], xy.shape[0]), dtype=np.float64)
+    for row, (px, py) in zip(out, centers):
+        np.hypot(xy[:, 0] - px, xy[:, 1] - py, out=row)
+    return out
 
 
 def los_blocked(

@@ -354,14 +354,18 @@ class CompiledSectorInstance(CompiledInstance):
         Composes the instance's ``constraints`` tuple into one read-only
         ``(n,)`` boolean mask per station via the vectorized kernels of
         :func:`repro.model.constraints.compose_station_masks`, fed with
-        the compiled stations' ``rs`` arrays (all built by one
-        :meth:`ensure_stations` pass).  The masks are bit-identical to
-        the scalar reference (``backend="python"``), which the tests
-        compare against.  Unconstrained instances pay
-        one attribute check and memoize ``None`` — the pre-pipeline fast
-        path.
+        one :func:`repro.core.backend.station_distances` pass — rows
+        bit-identical to the stations' ``rs``, without the angles or
+        sorts, so a view that is only verified (a partitioned parent)
+        never builds a station view.
+        The masks are bit-identical to the scalar reference
+        (``backend="python"``), which the tests compare against.
+        Unconstrained instances pay one attribute check and memoize
+        ``None`` — the pre-pipeline fast path.
 
-        Timed under ``phase.sector.constraints``; the ``slow`` test
+        The composition is timed under ``phase.sector.constraints`` (the
+        distance pass before it is not, as the station views it replaced
+        were not); the ``slow`` test
         ``tests/test_constraints.py::TestComposeOverheadGate`` keeps this
         phase under 10% of the unconstrained ``eligibility()`` compile.
         """
@@ -373,14 +377,13 @@ class CompiledSectorInstance(CompiledInstance):
             with self._lock:
                 self._constraint_masks = None
             return None
+        from repro.core.backend import station_distances
         from repro.model.constraints import compose_station_masks
 
-        self.ensure_stations()
+        rs_all = station_distances(self.instance)
         with _CONSTRAINT_TIMER.time():
-            m = len(self.instance.stations)
-            rs_by_station = [self.station(s).rs for s in range(m)]
             composed = compose_station_masks(
-                self.instance, rs_by_station, backend="numpy"
+                self.instance, rs_all, backend="numpy"
             )
             if composed is not None:
                 composed = [_frozen(mask) for mask in composed]

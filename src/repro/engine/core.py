@@ -330,9 +330,10 @@ def _run_partitioned(
 ) -> Any:
     """Partition–solve–merge over the reach components (docs/SCALE.md).
 
-    Deliberately leaves the parent instance un-interned — compiling
-    per-station views of all ``n`` customers is exactly the
-    cost this strategy avoids; each child solve compiles only its part.
+    Deliberately leaves the parent instance un-interned: each child
+    solve compiles only its part, and the parent's own compile memo
+    holds at most its constraint masks, composed once by the
+    partitioner and read again by the verify of the merged solution.
     """
     from repro.engine.partition import solve_partitioned
 

@@ -46,10 +46,13 @@ guarantees ``V_mono <= V_part + merge_bound`` — the inequality
 struct-of-arrays once so each component's customers are contiguous; the
 per-part sub-instances are then built from read-only *slices* of the
 permuted arrays (adopted uncopied by instance construction, see
-``repro.model.instance``).  The parent instance is **never compiled** on
+``repro.model.instance``).  The parent never gets station views on
 this path — per-station angle sorts happen inside each sub-solve over
 that component's customers only, which is where the large-``n`` speedup
-comes from (``docs/SCALE.md``).
+comes from (``docs/SCALE.md``).  A constrained parent is compiled only
+to its station distances and composed constraint masks, once per plan:
+the partitioner reads them to place customers and the engine's verify
+of the merged solution reads them again from the same memo.
 
 Engine integration: :func:`repro.engine.planner.plan_partition` decides
 monolithic vs. partitioned per request, and
@@ -167,12 +170,18 @@ def _part_upper_bound(sub: SectorInstance) -> float:
 def partition_instance(instance: SectorInstance) -> PartitionPlan:
     """Decompose ``instance`` into independent reach-component parts.
 
-    Customer→component assignment is a streamed O(m·n) pass (one distance
-    vector per station, discarded immediately), so the parent instance is
-    never compiled and peak memory stays a few float arrays of length
-    ``n``.  The customer struct-of-arrays is then permuted once so every
-    part is a contiguous read-only slice — sub-instance construction
-    adopts those slices as views without copying.
+    Customer→component assignment is a streamed O(m·n) pass (one
+    distance vector per station, discarded immediately), so peak memory
+    on an unconstrained instance stays a few float arrays of length
+    ``n`` and the parent is never compiled.  A constrained instance
+    takes its masks from ``instance.compile().constraint_masks()`` —
+    distances and masks only, no station views — whose memo serves the
+    later verify; that pass holds one transient ``(m, n)`` float64
+    distance matrix while composing, and the ``(m, n)`` boolean masks
+    stay in the memo.  The customer
+    struct-of-arrays is then permuted once so every part is a
+    contiguous read-only slice — sub-instance construction adopts those
+    slices as views without copying.
     """
     with _PARTITION_TIMER.time():
         comp = reach_components(instance)
@@ -180,30 +189,21 @@ def partition_instance(instance: SectorInstance) -> PartitionPlan:
         comp_of = np.full(n, -1, dtype=np.int64)
         xs = instance.positions[:, 0]
         ys = instance.positions[:, 1]
-        if instance.constraints:
-            # Effective eligibility: raw reach ANDed with the composed
-            # constraint masks, built from the same streamed distances.
-            # O(m·n) mask memory, paid only on constrained instances.
-            from repro.model.constraints import compose_station_masks
-
-            rs_list = [
-                np.hypot(xs - st.position[0], ys - st.position[1])
-                for st in instance.stations
-            ]
-            cmasks = compose_station_masks(instance, rs_list, backend="numpy")
-            for s_id, st in enumerate(instance.stations):
-                reach = rs_list[s_id] <= st.max_radius * _SLACK
-                if cmasks is not None:
-                    reach &= cmasks[s_id]
-                comp_of[reach] = comp[s_id]
-        else:
-            for s_id, st in enumerate(instance.stations):
-                px, py = st.position
-                reach = np.hypot(xs - px, ys - py) <= st.max_radius * _SLACK
-                # All stations reaching a customer share one component
-                # (module doc), so overwrites are consistent by
-                # construction.
-                comp_of[reach] = comp[s_id]
+        # Effective eligibility: raw reach ANDed with the composed
+        # constraint masks.  The masks come from the parent's compile memo
+        # (distances and masks only), so the engine's later verify reads
+        # them instead of composing again.
+        constrained = bool(instance.constraints)
+        cmasks = instance.compile().constraint_masks() if constrained else None
+        for s_id, st in enumerate(instance.stations):
+            # The row of repro.core.backend.station_distances, streamed.
+            px, py = st.position
+            reach = np.hypot(xs - px, ys - py) <= st.max_radius * _SLACK
+            if cmasks is not None:
+                reach &= cmasks[s_id]
+            # All stations reaching a customer share one component
+            # (module doc), so overwrites are consistent by construction.
+            comp_of[reach] = comp[s_id]
 
         order = np.argsort(comp_of, kind="stable")
         comp_sorted = comp_of[order]

@@ -347,12 +347,18 @@ class SectorSolution:
         problems += _check_assignment_array(self.assignment, instance.n, K)
         if problems:
             return problems
+        from repro.geometry.sectors import Sector  # local import avoids cycle
+
+        # Customers grouped by antenna in one stable sort: groups[g] lists
+        # antenna g's customers in increasing order (the unserved -1s
+        # form the dropped leading group).
+        order = np.argsort(self.assignment, kind="stable")
+        bounds = np.searchsorted(self.assignment[order], np.arange(K))
+        groups = np.split(order, bounds)[1:]
         for g, s_id, spec in instance.antenna_table():
-            members = np.flatnonzero(self.assignment == g)
+            members = groups[g]
             if members.size == 0:
                 continue
-            from repro.geometry.sectors import Sector  # local import avoids cycle
-
             sector = Sector(
                 apex=instance.stations[s_id].position,
                 arc=Arc(float(self.orientations[g]), spec.rho),
@@ -376,7 +382,7 @@ class SectorSolution:
             cmasks = instance.compile().constraint_masks()
             if cmasks is not None:
                 for g, s_id, _spec in instance.antenna_table():
-                    members = np.flatnonzero(self.assignment == g)
+                    members = groups[g]
                     for i in members[~cmasks[s_id][members]]:
                         problems.append(
                             f"customer {i} assigned to antenna {g} "

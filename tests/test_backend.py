@@ -4,7 +4,8 @@ Three families of guarantees frozen here:
 
 * **kernel identity** — each kernel in :mod:`repro.core.backend` matches
   the scalar loop it replaced, at the identity class its docstring
-  claims: bit-identical for `batched_station_polar`, accept-set
+  claims: bit-identical for `batched_station_polar` and
+  `station_distances`, accept-set
   identical for `greedy_prefix_mask` (the sequential scans below are the
   reference loops);
 * **pinned values** — the solvers that used to take a ``backend`` knob
@@ -18,13 +19,19 @@ Three families of guarantees frozen here:
 import numpy as np
 import pytest
 
-from repro.core.backend import batched_station_polar, greedy_prefix_mask
+from repro.core.backend import (
+    batched_station_polar,
+    greedy_prefix_mask,
+    station_distances,
+)
+from repro.core.compiled import compile_instance
 from repro.engine import SolveRequest, solve
 from repro.engine.cache import clear_caches
 from repro.geometry.points import relative_polar
 from repro.knapsack.api import _fits
 from repro.knapsack.greedy import solve_greedy
 from repro.model import generators as gen
+from repro.model.instance import SectorInstance
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +77,23 @@ def test_greedy_prefix_mask_empty_and_nothing_fits():
     assert not greedy_prefix_mask(np.array([5.0, 7.0]), 1.0).any()
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_batched_station_polar_bit_identical(seed):
+@pytest.mark.parametrize(
+    "seed, on_station", [(0, False), (1, False), (2, True)],
+    ids=["0", "1", "on-station"],
+)
+def test_batched_station_polar_bit_identical(seed, on_station):
     inst = gen.grid_city(n=80, seed=seed)
+    if on_station:
+        # Customer 0 moved exactly onto station 0 (r = 0).
+        positions = inst.positions.copy()
+        positions[0] = inst.stations[0].position
+        inst = SectorInstance(
+            positions=positions, demands=inst.demands,
+            profits=inst.profits, stations=inst.stations,
+        )
     thetas_all, rs_all = batched_station_polar(inst)
+    distances = station_distances(inst)
+    view = compile_instance(inst)
     for s, st in enumerate(inst.stations):
         th, r = relative_polar(
             inst.positions, np.asarray(st.position, dtype=np.float64)
@@ -81,6 +101,8 @@ def test_batched_station_polar_bit_identical(seed):
         # Bit identity, not approx: same ufuncs, batched shape.
         assert np.array_equal(thetas_all[s], th)
         assert np.array_equal(rs_all[s], r)
+        assert np.array_equal(distances[s], r)
+        assert np.array_equal(distances[s], view.station(s).rs)
 
 
 def test_solve_greedy_matches_scalar_reference():

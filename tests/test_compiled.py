@@ -11,8 +11,10 @@ Three families of guarantees frozen here:
 * **cache discipline** — `solve_many` batches compile each distinct
   instance once (observable via ``engine.compile.*`` counters), one engine
   solve compiles and composes constraint masks once for solver and
-  verifier together, the compile cache honours its LRU bound and eviction
-  re-interns cleanly, and compiled views never ride along in pickles.
+  verifier together, a partitioned solve composes the parent's masks
+  once and never builds a parent station view, the compile cache honours
+  its LRU bound and eviction re-interns cleanly, and compiled views
+  never ride along in pickles.
 """
 
 import copy
@@ -267,6 +269,54 @@ class TestOneCompilePerSolve:
                                     partition="never", use_cache=False))
         assert report.value > 0
         assert calls == {"compile": 1, "compose": 1}
+
+
+class TestPartitionedParentCompile:
+    """A partitioned plan compiles its parent to constraint masks only."""
+
+    def test_parent_masks_composed_once_without_station_views(
+        self, monkeypatch
+    ):
+        import repro.core.backend as backend_mod
+        import repro.model.constraints as constraints_mod
+
+        inst = gen.scenario_metro_blockage(
+            n=3000, towns=6, capacity_fraction=0.5, seed=0
+        )
+        assert inst.constraints
+        calls = {"compose": 0, "parent_compose": 0, "parent_polar": 0}
+        real_compose = constraints_mod.compose_station_masks
+        real_polar = backend_mod.batched_station_polar
+
+        def counting_compose(instance, *args, **kwargs):
+            calls["compose"] += 1
+            calls["parent_compose"] += instance is inst
+            return real_compose(instance, *args, **kwargs)
+
+        def counting_polar(instance):
+            calls["parent_polar"] += instance.n == inst.n
+            return real_polar(instance)
+
+        monkeypatch.setattr(
+            constraints_mod, "compose_station_masks", counting_compose
+        )
+        monkeypatch.setattr(
+            backend_mod, "batched_station_polar", counting_polar
+        )
+        clear_caches()
+        request = SolveRequest(instance=inst, family="sector",
+                               algorithm="greedy", partition="force",
+                               use_cache=False)
+        report = solve(request)
+        assert report.extra["strategy"] == "partitioned"
+        parts = report.extra["partitions"]
+        assert parts > 1
+        # The parent once (partition, then verify from the memo), plus
+        # one composition per part's own compile.
+        assert calls == {
+            "compose": 1 + parts, "parent_compose": 1, "parent_polar": 0,
+        }
+        assert request.instance.compile()._stations == {}
 
 
 class TestCompileCacheEviction:

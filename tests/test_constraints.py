@@ -20,7 +20,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.backend import los_blocked, topk_station_mask
+from repro.core.backend import (
+    los_blocked,
+    station_distances,
+    topk_station_mask,
+)
 from repro.core.compiled import CompiledSectorInstance
 from repro.engine import SolveRequest, clear_caches, solve
 from repro.engine.cache import fingerprint
@@ -490,6 +494,9 @@ class TestDeltaConstraints:
             if patched is not None:
                 for s in range(len(inst.stations)):
                     assert np.array_equal(patched[s], recompiled[s]), (i, s)
+                    assert np.array_equal(
+                        view.station(s).rs, station_distances(ref)[s]
+                    ), (i, s)
             for a, b in zip(view.eligibility(), fresh.eligibility()):
                 for ga, gb in zip(a, b):
                     assert np.array_equal(ga, gb)

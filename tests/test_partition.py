@@ -23,9 +23,12 @@ from repro.engine import (
     specs,
 )
 from repro.engine.planner import AUTO_PARTITION_MIN_N
+from repro.core.backend import los_blocked, station_distances
 from repro.model.antenna import AntennaSpec
-from repro.model.generators import power_law_metro
+from repro.model.constraints import LosBlockage
+from repro.model.generators import power_law_metro, scenario_metro_blockage
 from repro.model.instance import SectorInstance, Station
+from repro.model.solution import FeasibilityError, SectorSolution
 from repro.obs.metrics import get_registry
 
 PARTITIONABLE = tuple(s.name for s in specs("sector") if s.partitionable)
@@ -225,6 +228,49 @@ class TestEngineIntegration:
         ))
         report.solution.verify(inst)
         assert report.value <= report.extra["partition_upper_bound"] + 1e-9
+
+    def test_parent_verify_flags_wall_masked_pair(self):
+        inst = scenario_metro_blockage(
+            n=3000, towns=6, capacity_fraction=0.5, seed=0
+        )
+        merged = solve(SolveRequest(
+            instance=inst, family="sector", algorithm="greedy",
+            partition="force", use_cache=False,
+        )).solution
+        # A fresh, never-compiled parent, as the partitioned path sees it.
+        parent = SectorInstance(
+            positions=inst.positions.copy(), demands=inst.demands.copy(),
+            profits=inst.profits.copy(), stations=inst.stations,
+            constraints=inst.constraints,
+        )
+        assert "_compiled" not in parent.__dict__
+        merged.verify(parent)
+        # A served customer within reach of a station the wall hides it
+        # from, moved onto that station's first antenna.
+        (wall,) = [c for c in inst.constraints if isinstance(c, LosBlockage)]
+        segments = np.asarray(wall.segments, dtype=np.float64)
+        rs_all = station_distances(inst)
+        served = merged.assignment >= 0
+        for s_id, st in enumerate(inst.stations):
+            hidden = served & (rs_all[s_id] <= st.max_radius) & los_blocked(
+                *st.position, inst.positions, segments
+            )
+            if hidden.any():
+                break
+        i = int(np.flatnonzero(hidden)[0])
+        g = next(g for g, s, _ in inst.antenna_table() if s == s_id)
+        assignment = merged.assignment.copy()
+        assignment[i] = g
+        bad = SectorSolution(
+            orientations=merged.orientations, assignment=assignment
+        )
+        with pytest.raises(
+            FeasibilityError,
+            match=f"customer {i} assigned to antenna {g} \\(station {s_id}\\) "
+                  "but an eligibility constraint masks the pair out",
+        ):
+            bad.verify(parent)
+        assert parent.compile()._stations == {}
 
     def test_partitioned_bypasses_result_cache(self):
         clear_caches()
