@@ -4,23 +4,19 @@ A seeded stream of add/remove/update events hits a live instance; two
 operators answer each event:
 
 * **delta-resolve** — one :class:`repro.online.delta.DeltaCompiledInstance`
-  absorbs the event by patching its compiled views in place, then the
-  engine solves the current generation;
+  absorbs the event into its next generation, then the engine solves
+  that generation;
 * **offline re-solve** — the from-scratch baseline: rebuild the instance
   arrays, recompile, solve.
 
 Because the delta contract is bit-identity (``docs/ONLINE.md``), the
-interesting claims are about *cost*, not value: the competitive ratio of
-delta-resolve is exactly 1.000 at every event (asserted, not approximated
-— this is what separates the delta path from the paper's online
-*admission* setting, where irrevocable decisions force ratios below 1),
-and the delta operator answers events several times faster.  A churn
-experiment ties back to E12: admission policies re-run after every event
-stay above the proven (1-δ)/(2-δ) floor even as the customer population
-drifts under them.
+competitive ratio of delta-resolve is exactly 1.000 at every event
+(asserted, not approximated — this is what separates the delta path from
+the paper's online *admission* setting, where irrevocable decisions force
+ratios below 1).  A churn experiment ties back to E12: admission policies
+re-run after every event stay above the proven (1-δ)/(2-δ) floor even as
+the customer population drifts under them.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -94,37 +90,6 @@ def test_e15_competitive_ratio_is_exactly_one():
             # bit-identical to the rebuilt one, so the solver runs the
             # same arithmetic on both.
             assert delta_value == offline_value
-
-
-def test_e15_delta_answers_events_faster():
-    """At n=20k the delta operator beats rebuild+recompile per event."""
-    clear_caches()
-    base = gen.uniform_angles(n=20_000, k=3, seed=0)
-    base.compile()
-    rng = np.random.default_rng(15)
-    stream = _event_stream(rng, base.n, events=30)
-
-    def delta_pass():
-        d = DeltaCompiledInstance(base)
-        t0 = time.perf_counter()
-        for event in stream:
-            d.apply(event)
-        return time.perf_counter() - t0
-
-    def offline_pass():
-        instance = base
-        t0 = time.perf_counter()
-        for event in stream:
-            instance = _rebuild(instance, event)
-            instance.compile()
-        return time.perf_counter() - t0
-
-    delta_s = min(delta_pass() for _ in range(3))
-    offline_s = min(offline_pass() for _ in range(3))
-    # The slow test tests/test_online_delta.py::TestTimingGate demands 5x
-    # at n = 3e4; here we only pin the direction so the experiment stays
-    # robust on loaded CI boxes.
-    assert delta_s < offline_s
 
 
 def test_e15_admission_stays_above_floor_under_churn():

@@ -15,14 +15,12 @@ export PYTHONPATH=src
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== slow marker (one scale case, two timing gates) =="
+echo "== slow marker (one scale case, one timing gate) =="
 # Tier-1 deselects `slow` (pyproject addopts); the smoke runs one marked
 # scale case so the n >= 1e5 partition path stays exercised in CI, plus the
-# delta-apply (>= 5x recompile) and constraint-compose (< 10% of compile)
-# timing gates.
+# constraint-compose (< 10% of compile) timing gate.
 python -m pytest -x -q -m slow -o addopts="" \
     tests/test_partition.py::TestScale::test_partitioned_matches_monolithic_at_scale \
-    tests/test_online_delta.py::TestTimingGate \
     tests/test_constraints.py::TestComposeOverheadGate
 
 echo "== docs lint =="
@@ -112,6 +110,21 @@ cat > "$events" <<'JSON'
  {"type": "remove_customer", "index": 3}]
 JSON
 python -m repro client event "$inst" --unix "$sock" --session smoke-session
+python -m repro client event --unix "$sock" --session smoke-session \
+    --events "$events" --resolve --algorithm greedy
+# A batch whose second event names an out-of-range index is rejected
+# whole (exit 3), and the session still takes the valid events after it.
+bad_events="$tmp/bad-events.json"
+cat > "$bad_events" <<'JSON'
+[{"type": "add_customer", "demand": 1.5, "theta": 0.7},
+ {"type": "remove_customer", "index": 999}]
+JSON
+code=0
+python -m repro client event --unix "$sock" --session smoke-session \
+    --events "$bad_events" >/dev/null || code=$?
+if [ "$code" -ne 3 ]; then
+    echo "expected exit 3 from an invalid event batch, got $code" >&2; exit 1
+fi
 python -m repro client event --unix "$sock" --session smoke-session \
     --events "$events" --resolve --algorithm greedy
 kill -TERM "$serve_pid"

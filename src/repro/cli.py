@@ -388,8 +388,6 @@ def cmd_client(args: argparse.Namespace) -> int:
                 ["session", extra.get("session", args.session)],
                 ["n", extra.get("n", "?")],
                 ["events applied", extra.get("applied", 0)],
-                ["cache invalidated", extra.get("invalidated", 0)],
-                ["cache retained", extra.get("retained", 0)],
             ]
             inner = extra.get("resolve")
             if inner:

@@ -369,6 +369,17 @@ class CompiledSectorInstance(CompiledInstance):
         ``tests/test_constraints.py::TestComposeOverheadGate`` keeps this
         phase under 10% of the unconstrained ``eligibility()`` compile.
         """
+        return self._masks_from_distances(None)
+
+    def _masks_from_distances(
+        self, rs_all: Optional[np.ndarray]
+    ) -> Optional[List[np.ndarray]]:
+        """:meth:`constraint_masks`, composed from the caller's distances.
+
+        ``rs_all`` is ``station_distances(self.instance)`` when the caller
+        already holds it (the partitioner, which reads the same rows for
+        its reach test), or ``None`` to compute it here on a memo miss.
+        """
         with self._lock:
             cached = self._constraint_masks
         if cached is not _UNSET:
@@ -377,10 +388,12 @@ class CompiledSectorInstance(CompiledInstance):
             with self._lock:
                 self._constraint_masks = None
             return None
-        from repro.core.backend import station_distances
         from repro.model.constraints import compose_station_masks
 
-        rs_all = station_distances(self.instance)
+        if rs_all is None:
+            from repro.core.backend import station_distances
+
+            rs_all = station_distances(self.instance)
         with _CONSTRAINT_TIMER.time():
             composed = compose_station_masks(
                 self.instance, rs_all, backend="numpy"

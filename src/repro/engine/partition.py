@@ -174,11 +174,12 @@ def partition_instance(instance: SectorInstance) -> PartitionPlan:
     distance vector per station, discarded immediately), so peak memory
     on an unconstrained instance stays a few float arrays of length
     ``n`` and the parent is never compiled.  A constrained instance
-    takes its masks from ``instance.compile().constraint_masks()`` —
-    distances and masks only, no station views — whose memo serves the
-    later verify; that pass holds one transient ``(m, n)`` float64
-    distance matrix while composing, and the ``(m, n)`` boolean masks
-    stay in the memo.  The customer
+    computes one :func:`repro.core.backend.station_distances` pass and
+    reads it twice: for the reach test, and to compose the parent's
+    constraint masks into its compile memo (distances and masks only, no
+    station views), which the later verify reads.  That pass holds one
+    transient ``(m, n)`` float64 distance matrix during partitioning,
+    and the ``(m, n)`` boolean masks stay in the memo.  The customer
     struct-of-arrays is then permuted once so every part is a
     contiguous read-only slice — sub-instance construction adopts those
     slices as views without copying.
@@ -190,15 +191,23 @@ def partition_instance(instance: SectorInstance) -> PartitionPlan:
         xs = instance.positions[:, 0]
         ys = instance.positions[:, 1]
         # Effective eligibility: raw reach ANDed with the composed
-        # constraint masks.  The masks come from the parent's compile memo
-        # (distances and masks only), so the engine's later verify reads
-        # them instead of composing again.
-        constrained = bool(instance.constraints)
-        cmasks = instance.compile().constraint_masks() if constrained else None
+        # constraint masks.  One distance pass feeds both the reach test
+        # and the masks, which land in the parent's compile memo so the
+        # engine's later verify reads them instead of composing again.
+        rs_all = cmasks = None
+        if instance.constraints:
+            from repro.core.backend import station_distances
+
+            rs_all = station_distances(instance)
+            cmasks = instance.compile()._masks_from_distances(rs_all)
         for s_id, st in enumerate(instance.stations):
-            # The row of repro.core.backend.station_distances, streamed.
-            px, py = st.position
-            reach = np.hypot(xs - px, ys - py) <= st.max_radius * _SLACK
+            if rs_all is not None:
+                rs = rs_all[s_id]
+            else:
+                # The row of station_distances, streamed.
+                px, py = st.position
+                rs = np.hypot(xs - px, ys - py)
+            reach = rs <= st.max_radius * _SLACK
             if cmasks is not None:
                 reach &= cmasks[s_id]
             # All stations reaching a customer share one component

@@ -77,7 +77,6 @@ __all__ = [
     "validate_constraints",
     "nontrivial_constraints",
     "compose_station_masks",
-    "effective_column",
 ]
 
 #: Same relative reach slack as the fitting-radius masks
@@ -112,22 +111,6 @@ class Constraint:
         """
         raise NotImplementedError
 
-    def column(
-        self,
-        position: Tuple[float, float],
-        station_positions: Sequence[Tuple[float, float]],
-        rs_to_stations: Sequence[float],
-        max_radii: Sequence[float],
-    ) -> Optional[List[bool]]:
-        """One customer's per-station mask column (``None`` = all-pass).
-
-        Used by the online delta layer to patch constraint masks per
-        event: the column for an appended customer, computed through the
-        same per-pair primitives as :meth:`station_masks`, is bitwise
-        what a fresh composition would produce for that customer.
-        """
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Reach(Constraint):
@@ -138,11 +121,6 @@ class Reach(Constraint):
     def station_masks(self, positions, station_positions, rs_by_station,
                       max_radii) -> Optional[List[np.ndarray]]:
         """All-pass: reach lives in the per-antenna fitting-radius masks."""
-        return None
-
-    def column(self, position, station_positions, rs_to_stations,
-               max_radii) -> Optional[List[bool]]:
-        """All-pass column."""
         return None
 
 
@@ -180,8 +158,8 @@ class LosBlockage(Constraint):
     endpoints and collinear overlap do not block).  Pairs beyond the
     station's maximum antenna radius are left unmasked (``True``): the
     fitting-radius masks already exclude them from every solver, so the
-    crossing tests are only paid where they can matter — and the scalar,
-    vectorized, and per-column paths all window on the identical
+    crossing tests are only paid where they can matter — and the scalar
+    and vectorized paths both window on the identical
     ``rs <= max_radius * (1 + 1e-12)`` predicate so they stay
     bit-identical.
     """
@@ -228,18 +206,6 @@ class LosBlockage(Constraint):
                     mask[i] = False
             out.append(mask)
         return out
-
-    def column(self, position, station_positions, rs_to_stations,
-               max_radii) -> Optional[List[bool]]:
-        """One customer's visibility column (delta patching)."""
-        if not self.segments:
-            return None
-        cx, cy = float(position[0]), float(position[1])
-        return [
-            rs_to_stations[s] > max_radii[s] * _SLACK
-            or not _pair_blocked(float(sx), float(sy), cx, cy, self.segments)
-            for s, (sx, sy) in enumerate(station_positions)
-        ]
 
 
 def _topk_stations(rs_c: Sequence[float], max_radii: Sequence[float],
@@ -304,15 +270,6 @@ class MaxAssignments(Constraint):
             for s in keep:
                 masks[s][i] = True
         return masks
-
-    def column(self, position, station_positions, rs_to_stations,
-               max_radii) -> Optional[List[bool]]:
-        """One customer's top-``limit`` membership column (delta patching)."""
-        m = len(max_radii)
-        if m <= self.limit:
-            return None
-        keep = _topk_stations(rs_to_stations, max_radii, self.limit)
-        return [s in keep for s in range(m)]
 
 
 #: kind tag -> constraint class.  ``scripts/check_docs.py`` enforces that
@@ -551,35 +508,3 @@ def _numpy_station_masks(
     return constraint.station_masks(
         positions, station_positions, rs_by_station, max_radii
     )
-
-
-def effective_column(
-    constraints: Sequence[Constraint],
-    station_positions: Sequence[Tuple[float, float]],
-    position: Tuple[float, float],
-    rs_to_stations: Sequence[float],
-    max_radii: Sequence[float],
-) -> Optional[List[bool]]:
-    """One customer's composed per-station mask column.
-
-    The online delta layer appends this column when an ``add_customer``
-    event lands (``docs/ONLINE.md``): each constraint's column is
-    computed by the same per-pair primitives as the scalar
-    :func:`compose_station_masks`, so the patched masks stay bit-identical
-    to a recompile.  Returns ``None`` when nothing masks.
-    """
-    active = nontrivial_constraints(constraints)
-    if not active:
-        return None
-    combined: Optional[List[bool]] = None
-    for constraint in active:
-        col = constraint.column(
-            position, station_positions, rs_to_stations, max_radii
-        )
-        if col is None:
-            continue
-        if combined is None:
-            combined = list(col)
-        else:
-            combined = [a and b for a, b in zip(combined, col)]
-    return combined

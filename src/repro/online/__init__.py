@@ -5,10 +5,10 @@ The SPAA 2007 problem is offline; two online relaxations live here:
 * :mod:`repro.online.admission` — fixed orientations, an arrival stream
   of customers, and irrevocable accept/assign-or-reject decisions;
 * :mod:`repro.online.delta` — the dynamic-instance workload: arrivals,
-  departures and demand drift applied as events to a
-  :class:`~repro.online.delta.DeltaCompiledInstance` that patches the
-  compiled struct-of-arrays views instead of recompiling, with
-  per-sector result-cache invalidation (``docs/ONLINE.md``).
+  departures and demand drift applied as atomic event batches to a
+  :class:`~repro.online.delta.DeltaCompiledInstance`, whose every
+  generation is a freshly constructed instance compiled on first use
+  (``docs/ONLINE.md``).
 """
 
 from repro.online.admission import (

@@ -219,13 +219,15 @@ def stage_from_spec(
 
     The stage runs ``repro.engine`` spec ``(family, algorithm)`` under the
     chain's per-stage budget.  ``oracle`` selects the inner knapsack
-    oracle: ``"auto"`` follows the engine policy (fptas when the spec
-    supports eps and ``eps < 1.0``, exact otherwise), or name one of
+    oracle: ``"auto"`` builds it by the engine's own policy
+    (``repro.engine.core._build_oracle``: fptas when the spec supports
+    eps and ``eps < 1.0``, exact otherwise), or name one of
     :data:`repro.knapsack.api.KNAPSACK_SOLVERS` explicitly (the floor of a
     ladder typically wants ``"greedy"`` — near-linear, deadline-free).
     """
     # Imported lazily: repro.packing imports this package for budget
     # checkpoints, so a module-level engine import here would be circular.
+    from repro.engine.core import _build_oracle
     from repro.engine.registry import SolveContext, get_spec
 
     spec = get_spec(family, algorithm)
@@ -234,10 +236,7 @@ def stage_from_spec(
         from repro.knapsack import get_solver
 
         if oracle == "auto":
-            if spec.supports_eps and eps < 1.0:
-                orc = get_solver("fptas", eps=eps)
-            else:
-                orc = get_solver("exact")
+            orc = _build_oracle(spec, eps)
         elif oracle == "fptas":
             orc = get_solver("fptas", eps=eps if eps < 1.0 else 0.5)
         else:

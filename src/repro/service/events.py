@@ -10,7 +10,7 @@ Sessions are sticky by design: the supervised worker pool shards an
 :class:`EventRequest` by its session name (the ``instance`` property below
 feeds the same ``shard_key`` routing the solve path uses), so every event
 for a session lands on the one worker holding its delta view, and the
-patched compiled view never crosses a process boundary.  The service
+session's instance never crosses a process boundary.  The service
 process holds no sessions: with no worker up, an event op is refused
 with status ``5`` rather than run against a second copy.
 
@@ -151,15 +151,13 @@ def execute_event(request: EventRequest) -> SolveReport:
         summary = (
             delta.apply(list(request.events))
             if request.events
-            else {"applied": 0, "invalidated": 0, "retained": 0, "n": delta.n}
+            else {"applied": 0, "n": delta.n}
         )
         fp = delta.publish()
         extra = {
             "session": request.session,
             "n": summary["n"],
             "applied": summary["applied"],
-            "invalidated": summary["invalidated"],
-            "retained": summary["retained"],
             "fingerprint": fp,
         }
         value = float(summary["n"])

@@ -9,7 +9,7 @@ the online delta layer honor constraints without private recomputation.
 Also pinned here: the no-constraints path stays bit-identical to the
 pre-pipeline code (the eligibility masks *are* the memoized fit-mask
 objects), wire round-trips, fingerprint coverage, partition exactness
-under blockage, and per-event delta patching of constraint masks.  A
+under blockage, and constraint masks of delta-session generations.  A
 ``slow`` timing gate keeps composition under 10% of the unconstrained
 compile at n = 6e4.
 """
@@ -42,7 +42,6 @@ from repro.model.constraints import (
     constraint_from_dict,
     constraint_to_dict,
     constraints_from_wire,
-    effective_column,
     nontrivial_constraints,
 )
 from repro.model.generators import SECTOR_FAMILIES, power_law_metro, scenario_metro_blockage
@@ -193,29 +192,6 @@ class TestLosGeometry:
         assert masks[0][0]
         elig, _, _ = inst.compile().eligibility()
         assert not elig[0][0]
-
-    def test_column_matches_station_masks(self):
-        inst = _two_station_instance(
-            [[1.0, 0.0], [4.0, 0.0], [9.0, 0.0]],
-            constraints=(LosBlockage(segments=((0.5, -1.0, 0.5, 1.0),)),
-                         MaxAssignments(limit=1)),
-        )
-        compiled = inst.compile()
-        masks = compiled.constraint_masks()
-        station_positions = [st.position for st in inst.stations]
-        max_radii = [st.max_radius for st in inst.stations]
-        for i in range(inst.n):
-            rs_to_stations = [
-                float(compiled.station(s).rs[i]) for s in range(len(inst.stations))
-            ]
-            col = effective_column(
-                inst.constraints, station_positions,
-                (float(inst.positions[i, 0]), float(inst.positions[i, 1])),
-                rs_to_stations, max_radii,
-            )
-            assert col is not None
-            for s in range(len(inst.stations)):
-                assert col[s] == bool(masks[s][i]), (i, s)
 
 
 class TestMaxAssignments:

@@ -1,4 +1,4 @@
-"""The online delta layer: bit-identity, invalidation, event grammar.
+"""The online delta layer: bit-identity, atomic batches, event grammar.
 
 The contract under test (``docs/ONLINE.md``): after *every* event, a
 :class:`~repro.online.delta.DeltaCompiledInstance` must be value-identical
@@ -7,15 +7,12 @@ raw arrays but the compiled views too (stable angle order, doubled prefix
 sums, eligibility masks) and the content fingerprint.  A hypothesis
 property drives random event streams through both paths and compares
 bitwise at each step; explicit units pin the known-sharp corners
-(duplicate-angle inserts, remove-then-re-add, profit/demand divergence).
-Per-sector result-cache invalidation, the event dict grammar and a
-``slow`` timing gate (delta apply >= 5x a recompile at n = 3e4) round out
-the file.
+(duplicate-angle inserts, remove-then-re-add, profit/demand divergence)
+and the atomicity of a batch with an invalid event.  The event dict
+grammar rounds out the file.
 """
 
-import math
 import pickle
-import time
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engine.cache import RESULT_CACHE, fingerprint, intern_instance
 from repro.geometry.angles import TWO_PI
 from repro.model.antenna import AntennaSpec
-from repro.model.generators import uniform_angles
 from repro.model.instance import AngleInstance, InvalidInstanceError, SectorInstance, Station
 from repro.online.delta import (
     AddCustomer,
@@ -85,8 +81,8 @@ def _assert_angle_identity(delta, ref_inst):
     assert _bitwise(view.demand_prefix, fresh.demand_prefix)
     assert _bitwise(view.profit_prefix, fresh.profit_prefix)
     assert fingerprint(inst) == fingerprint(ref_inst)
-    # The patched view must be installed as the instance's compile memo
-    # with a matching staleness token — compile() returns it, no raise.
+    # The session's view is the instance's own compile memo: compile()
+    # returns it, with a matching staleness token (no raise).
     assert inst.compile() is view
 
 
@@ -227,9 +223,9 @@ class TestAngleCorners:
         _assert_angle_identity(delta, _angle_instance([1.0, -1.0], [1.0, 1.0]))
 
     def test_profit_divergence_breaks_sharing_correctly(self):
-        # Starts on the shared (profits is demands) fast path, then an
-        # update splits profit from demand; identity must hold through
-        # the transition and afterwards.
+        # Starts with profits equal to demands, then an update splits
+        # profit from demand; identity must hold through the transition
+        # and afterwards.
         delta = DeltaCompiledInstance(_angle_instance([0.1, 0.9, 2.0],
                                                       [1.0, 2.0, 3.0]))
         delta.apply(UpdateDemand(index=1, profit=7.0))
@@ -274,7 +270,7 @@ class TestSectorDelta:
 
     def test_stream_matches_fresh_compile(self):
         delta = DeltaCompiledInstance(self._seed())
-        # Materialize reach masks so the patched path must maintain them.
+        # Materialize reach masks on the first generation's view.
         for s in range(2):
             view = delta.compiled.station(s)
             for a in delta.instance.stations[s].antennas:
@@ -302,45 +298,54 @@ class TestSectorDelta:
 
 
 # ----------------------------------------------------------------------
-# Per-sector result-cache invalidation
+# Atomic batches: an invalid event rejects its whole batch
+# ----------------------------------------------------------------------
+class TestAtomicBatches:
+    def test_angle_batch_with_bad_remove_changes_nothing(self):
+        seed = _angle_instance([0.5, 1.5, 2.5], [1.0, 2.0, 3.0])
+        delta = DeltaCompiledInstance(seed)
+        with pytest.raises(InvalidInstanceError):
+            delta.apply([AddCustomer(demand=1.0, theta=0.7),
+                         RemoveCustomer(index=9)])
+        assert delta.n == 3
+        assert delta.instance is seed
+        assert delta.events_applied == 0
+        delta.apply(AddCustomer(demand=1.0, theta=0.7))
+        _assert_angle_identity(
+            delta, _angle_instance([0.5, 1.5, 2.5, 0.7], [1.0, 2.0, 3.0, 1.0])
+        )
+
+    def test_sector_batch_with_bad_remove_changes_nothing(self):
+        positions = [[1.0, 0.5], [3.0, 0.5], [4.5, -0.5]]
+        seed = _sector_instance(positions, [1.0, 2.0, 3.0])
+        delta = DeltaCompiledInstance(seed)
+        with pytest.raises(InvalidInstanceError):
+            delta.apply([AddCustomer(demand=1.5, position=(2.0, 1.0)),
+                         RemoveCustomer(index=9)])
+        assert delta.n == 3
+        assert delta.instance is seed
+        assert delta.events_applied == 0
+        delta.apply(AddCustomer(demand=1.5, position=(2.0, 1.0)))
+        _assert_sector_identity(
+            delta,
+            _sector_instance(positions + [[2.0, 1.0]], [1.0, 2.0, 3.0, 1.5]),
+        )
+
+    def test_bad_value_overwritten_later_in_the_batch_is_rejected(self):
+        delta = DeltaCompiledInstance(_angle_instance([1.0, 2.0], [1.0, 1.0]))
+        with pytest.raises(InvalidInstanceError):
+            delta.apply([UpdateDemand(index=0, demand=-1.0),
+                         UpdateDemand(index=0, demand=2.0)])
+        _assert_angle_identity(delta, _angle_instance([1.0, 2.0], [1.0, 1.0]))
+
+
+# ----------------------------------------------------------------------
+# Engine caches
 # ----------------------------------------------------------------------
 class TestInvalidation:
-    def test_only_windows_containing_touched_angles_evict(self):
-        delta = DeltaCompiledInstance(
-            _angle_instance([0.2, 1.0, 3.0, 5.0], [1.0, 1.0, 1.0, 1.0])
-        )
-        keys = []
-        for i, (start, width) in enumerate(
-            [(0.0, 0.5), (0.9, 0.3), (2.8, 0.5), (4.5, 1.0)]
-        ):
-            key = ("delta-test", i)
-            RESULT_CACHE.put(key, f"result-{i}")
-            delta.register_window(key, start, width)
-            keys.append(key)
-        # Touch theta=1.0 (inside window 1 only).
-        summary = delta.apply(UpdateDemand(index=1, demand=2.0, profit=2.0))
-        assert summary["invalidated"] == 1
-        assert summary["retained"] == 3
-        assert RESULT_CACHE.get(keys[1]) is None
-        for i in (0, 2, 3):
-            assert RESULT_CACHE.get(keys[i]) == f"result-{i}"
-        # The evicted key is deregistered; the survivors are still tagged.
-        assert keys[1] not in delta.registered_windows()
-        assert keys[0] in delta.registered_windows()
-
-    def test_window_wraps_across_zero(self):
-        delta = DeltaCompiledInstance(_angle_instance([0.05], [1.0]))
-        key = ("delta-test", "wrap")
-        RESULT_CACHE.put(key, "warm")
-        delta.register_window(key, TWO_PI - 0.1, 0.3)  # covers [2pi-0.1, 0.2)
-        summary = delta.apply(UpdateDemand(index=0, demand=2.0, profit=2.0))
-        assert summary["invalidated"] == 1
-        assert RESULT_CACHE.get(key) is None
-
     def test_lru_evict_by_key_semantics(self):
-        # LruCache.evict is the primitive the window invalidation rides
-        # on: present -> dropped and True, absent -> False, idempotent,
-        # and untouched keys keep their values.
+        # LruCache.evict: present -> dropped and True, absent -> False,
+        # idempotent, and untouched keys keep their values.
         RESULT_CACHE.put(("evict-test", "a"), "va")
         RESULT_CACHE.put(("evict-test", "b"), "vb")
         assert RESULT_CACHE.evict(("evict-test", "a")) is True
@@ -349,44 +354,6 @@ class TestInvalidation:
         assert RESULT_CACHE.evict(("evict-test", "never-stored")) is False
         assert RESULT_CACHE.get(("evict-test", "b")) == "vb"
 
-    def test_wrapping_window_hit_from_either_side_of_the_seam(self):
-        # A window [2pi-0.2, 2pi) u [0, 0.2) registered across the seam
-        # must evict for touched angles on *both* sides of 2pi -> 0, and
-        # a window of the same width away from the seam must survive.
-        thetas = [0.1, TWO_PI - 0.1, math.pi]
-        for touched in (0, 1):
-            delta = DeltaCompiledInstance(
-                _angle_instance(thetas, [1.0, 1.0, 1.0])
-            )
-            wrap_key = ("delta-test", "wrap", touched)
-            far_key = ("delta-test", "far", touched)
-            RESULT_CACHE.put(wrap_key, "warm-wrap")
-            RESULT_CACHE.put(far_key, "warm-far")
-            delta.register_window(wrap_key, TWO_PI - 0.2, 0.4)
-            delta.register_window(far_key, math.pi - 0.2, 0.4)
-            summary = delta.apply(
-                UpdateDemand(index=touched, demand=2.0, profit=2.0)
-            )
-            assert summary["invalidated"] == 1, touched
-            assert RESULT_CACHE.get(wrap_key) is None, touched
-            assert RESULT_CACHE.get(far_key) == "warm-far", touched
-            assert wrap_key not in delta.registered_windows()
-            assert far_key in delta.registered_windows()
-
-    def test_wrapping_window_retains_far_angle(self):
-        # The complement case: a touched angle near pi must not evict the
-        # seam-spanning window.
-        delta = DeltaCompiledInstance(
-            _angle_instance([math.pi], [1.0])
-        )
-        key = ("delta-test", "wrap-retained")
-        RESULT_CACHE.put(key, "warm")
-        delta.register_window(key, TWO_PI - 0.2, 0.4)
-        summary = delta.apply(UpdateDemand(index=0, demand=2.0, profit=2.0))
-        assert summary["invalidated"] == 0
-        assert RESULT_CACHE.get(key) == "warm"
-        assert key in delta.registered_windows()
-
     def test_publish_seeds_the_compile_cache(self):
         from repro.engine.cache import COMPILE_CACHE
 
@@ -394,7 +361,7 @@ class TestInvalidation:
         delta.apply(AddCustomer(demand=1.0, theta=0.3))
         fp = delta.publish()
         assert COMPILE_CACHE.get(fp) is delta.instance
-        # An equal-content instance solves on the patched object's view.
+        # An equal-content instance solves on the published object's view.
         twin = pickle.loads(pickle.dumps(delta.instance))
         assert intern_instance(twin).compile() is delta.compiled
 
@@ -426,79 +393,3 @@ class TestEventGrammar:
                              "theta": 0.5, "frobnicate": True})
         with pytest.raises(ValueError):
             event_from_dict("not a dict")
-
-
-# ----------------------------------------------------------------------
-# Timing gate: delta apply vs from-scratch recompile (slow, smoke-run)
-# ----------------------------------------------------------------------
-def _gate_stream(n, events):
-    """Seeded stream: every 4th event an add, every 4th a remove, the rest
-    demand updates with ``profit == demand`` (the shared-objective path)."""
-    rng = np.random.default_rng(7)
-    stream, live = [], n
-    for i in range(events):
-        if i % 4 == 0:
-            stream.append(AddCustomer(demand=float(rng.uniform(0.5, 2.0)),
-                                      theta=float(rng.uniform(0.0, TWO_PI))))
-            live += 1
-        elif i % 4 == 1:
-            stream.append(RemoveCustomer(index=int(rng.integers(0, live))))
-            live -= 1
-        else:
-            value = float(rng.uniform(0.5, 2.0))
-            stream.append(UpdateDemand(index=int(rng.integers(0, live)),
-                                       demand=value, profit=value))
-    return stream
-
-
-def _recompile_step(inst, event):
-    """The no-delta baseline: patch raw arrays, rebuild, recompile."""
-    thetas, demands = inst.thetas, inst.demands
-    if isinstance(event, AddCustomer):
-        thetas = np.append(thetas, event.theta)
-        demands = np.append(demands, event.demand)
-    elif isinstance(event, RemoveCustomer):
-        thetas = np.delete(thetas, event.index)
-        demands = np.delete(demands, event.index)
-    else:
-        demands = demands.copy()
-        demands[event.index] = event.demand
-    fresh = AngleInstance(thetas=thetas, demands=demands, antennas=inst.antennas)
-    fresh.compile()
-    return fresh
-
-
-@pytest.mark.slow
-class TestTimingGate:
-    def test_delta_apply_is_5x_faster_than_recompile(self):
-        # n = 3e4, 90 events.  One untimed pass per side checks that both
-        # reach the same state and warms the allocator; then best-of-3
-        # interleaved passes, because sub-millisecond applies are
-        # dominated by scheduler noise on shared hardware.
-        seed = uniform_angles(n=30_000, k=3, seed=0)
-        stream = _gate_stream(seed.n, 90)
-
-        def delta_pass():
-            delta = DeltaCompiledInstance(seed)
-            t0 = time.perf_counter()
-            for event in stream:
-                delta.apply(event)
-            return time.perf_counter() - t0, delta.instance
-
-        def recompile_pass():
-            inst = seed
-            t0 = time.perf_counter()
-            for event in stream:
-                inst = _recompile_step(inst, event)
-            return time.perf_counter() - t0, inst
-
-        assert fingerprint(delta_pass()[1]) == fingerprint(recompile_pass()[1])
-        delta_s = recompile_s = float("inf")
-        for _ in range(3):
-            delta_s = min(delta_s, delta_pass()[0])
-            recompile_s = min(recompile_s, recompile_pass()[0])
-        speedup = recompile_s / delta_s
-        assert speedup >= 5.0, (
-            f"delta apply only {speedup:.2f}x faster than recompile "
-            f"({delta_s * 1e3:.1f} ms vs {recompile_s * 1e3:.1f} ms)"
-        )

@@ -131,6 +131,39 @@ class TestPartitionInstance:
             sum(p.upper_bound for p in plan.parts)
         )
 
+    def test_one_distance_pass_per_constrained_plan(self, monkeypatch):
+        # A distance pass is one customer-length hypot row per station.
+        # A constrained plan feeds its reach test and the parent's
+        # composed masks (kept for verify) from one pass; an
+        # unconstrained plan streams its rows and never builds the
+        # (m, n) station_distances matrix.
+        from repro.core import backend
+
+        inst = scenario_metro_blockage(n=600, towns=3, seed=4)
+        plain = power_law_metro(n=600, towns=3, seed=4)
+        want = SectorInstance(
+            positions=inst.positions.copy(), demands=inst.demands.copy(),
+            profits=inst.profits.copy(), stations=inst.stations,
+            constraints=inst.constraints,
+        ).compile().constraint_masks()
+        rows, matrices = [], []
+        real_hypot, real_distances = np.hypot, backend.station_distances
+        monkeypatch.setattr(np, "hypot", lambda x, *a, **k: (
+            rows.append(np.shape(x)) or real_hypot(x, *a, **k)))
+        monkeypatch.setattr(backend, "station_distances", lambda i: (
+            matrices.append(i) or real_distances(i)))
+        partition_instance(inst)
+        masks = inst.compile().constraint_masks()
+        assert rows.count((inst.n,)) == inst.m
+        assert len(matrices) == 1 and matrices[0] is inst
+        for got, ref in zip(masks, want, strict=True):
+            assert np.array_equal(got, ref)
+        rows.clear()
+        matrices.clear()
+        partition_instance(plain)
+        assert rows.count((plain.n,)) == plain.m
+        assert matrices == []
+
     def test_counters_and_timer(self):
         registry = get_registry()
         registry.reset()

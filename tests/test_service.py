@@ -483,6 +483,29 @@ class TestEventOp:
         finally:
             handle.stop()
 
+    def test_rejected_batch_leaves_session_usable(self):
+        """A batch with a bad index answers 3 and applies none of it."""
+        clear_caches()
+        inst = _instances(1, n=8)[0]
+        add = {"type": "add_customer", "demand": 1.0, "theta": 0.5}
+        handle = start_in_thread(port=0)
+        try:
+            with ServiceClient(port=handle.port) as client:
+                opened = client.event("atomic-sess", instance=inst)
+                assert opened["status"] == STATUS_OK
+                rejected = client.event(
+                    "atomic-sess",
+                    events=[add, {"type": "remove_customer", "index": 9}],
+                )
+                assert rejected["status"] == STATUS_INVALID_INPUT
+                assert "InvalidInstanceError" in rejected["error"]
+                applied = client.event("atomic-sess", events=[add],
+                                       resolve={"algorithm": "greedy"})
+                assert applied["status"] == STATUS_OK
+                assert applied["extra"]["n"] == 9
+        finally:
+            handle.stop()
+
     def test_events_batch_alongside_solves(self):
         """Event and solve requests can share one pipelined connection."""
         clear_caches()
